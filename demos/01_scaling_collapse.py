@@ -11,11 +11,11 @@ import numpy as np
 from volintervals import (
     GeneratorSpec,
     collapse_distance,
+    extract_intervals,
     gen_longrange_correlated,
     pdf_estimate,
     poisson_deviation,
     scale_pdf,
-    split_by_threshold_set,
 )
 
 vol = gen_longrange_correlated(
@@ -23,7 +23,7 @@ vol = gen_longrange_correlated(
                   correlation_exponent=0.3, seed=1))
 
 qs = [1.0, 1.5, 2.0]
-seqs = split_by_threshold_set(vol, qs)
+seqs = [extract_intervals(vol, q) for q in qs]
 
 print("threshold   events    <tau>    KS-to-exponential")
 for s in seqs:

@@ -20,14 +20,12 @@ from .intervals import (
     InsufficientEventsError,
     extract_intervals,
     pool_scaled_intervals,
-    split_by_threshold_set,
 )
 from .memory import (
     ConditionalMeanCurve,
     ConditionalPDF,
     conditional_mean_curve,
     conditional_pdf,
-    conditional_samples,
     shuffle_intervals,
 )
 from .pipeline import AnalysisConfig, ingest_csv, run_pipeline, split_by_date, write_csv

@@ -9,51 +9,62 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import pipeline
-from .clusters import cluster_survival, clusters, median_split
-from .distributions import pdf_estimate, poisson_deviation, scale_pdf
-from .intervals import extract_intervals
-from .memory import conditional_mean_curve, conditional_pdf
 from .pipeline import (
     AnalysisConfig,
     ConfigError,
+    IngestError,
     _fmt,
     _write_json,
-    _write_tsv,
     ingest_csv,
     load_config,
+    q_summary,
     run_pipeline,
+    run_stage,
     split_by_date,
     write_csv,
 )
-from .series import PriceSeries, log_returns, normalize_volatility
+from .series import PriceSeries
 from .synthetic import GeneratorSpec, correlated_gaussian, gen_iid_gaussian
 
+DEFAULT_QS = [1.0, 1.25, 1.5, 1.75, 2.0]
 
-def _add_common(p):
-    p.add_argument("--q", action="append", type=float, default=None,
-                   help="volatility threshold (repeatable)")
-    p.add_argument("--bins", type=int, default=30)
-    p.add_argument("--log-bins", action="store_true", default=True)
-    p.add_argument("--linear-bins", dest="log_bins", action="store_false")
-    p.add_argument("--subsets", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ensemble", type=int, default=100)
-    p.add_argument("--split-date", default=None)
-    p.add_argument("--drop-session-gaps", action="store_true")
-    p.add_argument("--out", default="out")
+# analysis flags; each stores under its AnalysisConfig field name, which
+# `_config` passes through unchanged
+FLAGS = {
+    "--q": dict(dest="thresholds", action="append", type=float,
+                help="volatility threshold (repeatable)"),
+    "--bins": dict(dest="n_bins", type=int, default=30),
+    "--log-bins": dict(dest="binning", action="store_const", const="logarithmic",
+                       default="logarithmic"),
+    "--linear-bins": dict(dest="binning", action="store_const", const="linear"),
+    "--subsets": dict(dest="n_subsets", type=int, default=8),
+    "--seed": dict(type=int, default=0),
+    "--ensemble": dict(type=int, default=100),
+    "--split-date": dict(),
+    "--out": dict(dest="out_dir", default="out"),
+}
+_BINS = ("--bins", "--log-bins", "--linear-bins")
+# analysis command -> (help, the flags it reads); every command but analyze
+# runs the pipeline stage of its name
+ANALYSIS_COMMANDS = {
+    "analyze": ("run the full pipeline", tuple(FLAGS)),
+    "intervals": ("extract return intervals", ("--q", "--out")),
+    "pdf": ("scaled interval PDF per threshold", ("--q", *_BINS, "--out")),
+    "conditional": ("conditional PDFs and mean curve", ("--q", *_BINS, "--subsets", "--out")),
+    "clusters": ("above/below-median cluster survival", ("--q", "--out")),
+}
 
 
-def _volatility(path):
-    return normalize_volatility(log_returns(ingest_csv(path)))
-
-
-def _qs(args):
-    return args.q if args.q else [1.0, 1.25, 1.5, 1.75, 2.0]
+def _config(args) -> AnalysisConfig:
+    """The AnalysisConfig of an analysis command's flags; unset keys keep their defaults."""
+    kw = {f.name: getattr(args, f.name) for f in fields(AnalysisConfig) if hasattr(args, f.name)}
+    kw["thresholds"] = kw["thresholds"] or DEFAULT_QS
+    return AnalysisConfig(**kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,26 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Volatility return-interval analysis")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="run the full pipeline")
-    p.add_argument("inputs", nargs="*", help="input CSV files (timestamp,price)")
-    p.add_argument("--config", default=None, help="key=value config file")
-    _add_common(p)
-
-    p = sub.add_parser("intervals", help="extract return intervals")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("pdf", help="scaled interval PDF per threshold")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("conditional", help="conditional PDFs and mean curve")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("clusters", help="above/below-median cluster survival")
-    p.add_argument("input")
-    _add_common(p)
+    for name, (text, flags) in ANALYSIS_COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == "analyze":
+            p.add_argument("inputs", nargs="*", help="input CSV files (timestamp,price)")
+            p.add_argument("--config", default=None, help="key=value config file")
+        else:
+            p.add_argument("inputs", nargs=1, metavar="input")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
 
     p = sub.add_parser("synth", help="emit a synthetic price CSV")
     p.add_argument("--kind", choices=["iid", "correlated"], default="iid")
@@ -137,63 +137,24 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _cmd_intervals(args) -> int:
-    vol = _volatility(args.input)
-    out = Path(args.out)
+def _cmd_stage(args) -> int:
+    # subcommands write under --out; VOLINTERVALS_OUT redirects only analyze
+    out = Path(args.out_dir)
     summary = []
-    for q in _qs(args):
-        seq = extract_intervals(vol, q)
-        _write_tsv(out / f"intervals_q{q:g}.tsv", ["q", "interval"],
-                   ((q, int(t)) for t in seq.intervals))
-        summary.append({"q": q, "count": len(seq), "mean_interval": seq.mean_interval})
-    _write_json(out / "intervals_summary.json", summary)
-    print(json.dumps(summary))
-    return 0
-
-
-def _cmd_pdf(args) -> int:
-    vol = _volatility(args.input)
-    out = Path(args.out)
-    mode = "logarithmic" if args.log_bins else "linear"
-    for q in _qs(args):
-        seq = extract_intervals(vol, q)
-        scaled = scale_pdf(pdf_estimate(seq, mode=mode, n_bins=args.bins), seq.mean_interval, q=q)
-        _write_tsv(out / f"scaled_pdf_q{q:g}.tsv", ["x", "y"], zip(scaled.x, scaled.y))
-        print(f"q={q:g}: mean_interval={_fmt(seq.mean_interval)} "
-              f"poisson_deviation={_fmt(poisson_deviation(seq))}")
-    return 0
-
-
-def _cmd_conditional(args) -> int:
-    vol = _volatility(args.input)
-    out = Path(args.out)
-    mode = "logarithmic" if args.log_bins else "linear"
-    for q in _qs(args):
-        seq = extract_intervals(vol, q)
-        for k in range(1, args.subsets + 1):
-            cp = conditional_pdf(seq, n_subsets=args.subsets, k=k, mode=mode, n_bins=args.bins)
-            _write_tsv(out / f"conditional_pdf_q{q:g}_k{k}.tsv", ["x", "y"],
-                       zip(cp.scaled.x, cp.scaled.y))
-        curve = conditional_mean_curve(seq, n_bins=args.subsets)
-        _write_tsv(out / f"conditional_mean_q{q:g}.tsv",
-                   ["tau0_scaled", "mean_scaled", "stderr"],
-                   zip(curve.bin_centers, curve.means, curve.stderr))
-    print(f"wrote conditional statistics to {out}")
-    return 0
-
-
-def _cmd_clusters(args) -> int:
-    vol = _volatility(args.input)
-    out = Path(args.out)
-    for q in _qs(args):
-        seq = extract_intervals(vol, q)
-        runs = clusters(median_split(seq), median=float(np.median(seq.intervals)), q=q)
-        rows = []
-        for side in ("above", "below"):
-            for k, p in cluster_survival(runs, side):
-                rows.append((side, int(k), p))
-        _write_tsv(out / f"cluster_survival_q{q:g}.tsv", ["side", "k", "survival"], rows)
-    print(f"wrote cluster statistics to {out}")
+    for seq in run_stage(_config(args), args.command, out):
+        q = seq.threshold_q
+        if args.command == "intervals":
+            summary.append({"q": q, "count": len(seq), "mean_interval": seq.mean_interval})
+        elif args.command == "pdf":
+            s = q_summary(seq)
+            print(f"q={q:g}: mean_interval={_fmt(s['mean_interval'])} "
+                  f"poisson_deviation={_fmt(s['poisson_deviation'])}")
+    if args.command == "intervals":
+        _write_json(out / "intervals_summary.json", summary)
+        print(json.dumps(summary))
+    elif args.command != "pdf":
+        kind = {"conditional": "conditional", "clusters": "cluster"}[args.command]
+        print(f"wrote {kind} statistics to {out}")
     return 0
 
 
@@ -203,18 +164,7 @@ def _cmd_analyze(args) -> int:
         if args.inputs:
             cfg.inputs = list(args.inputs)
     else:
-        cfg = AnalysisConfig(
-            inputs=list(args.inputs),
-            thresholds=_qs(args),
-            binning="logarithmic" if args.log_bins else "linear",
-            n_bins=args.bins,
-            n_subsets=args.subsets,
-            seed=args.seed,
-            ensemble=args.ensemble,
-            split_date=args.split_date,
-            drop_session_gaps=args.drop_session_gaps,
-            out_dir=args.out,
-        )
+        cfg = _config(args)
     report = run_pipeline(cfg)
     for s in report["instruments"]:
         qs = ", ".join(f"q={q}: <tau>={_fmt(v['mean_interval'])}" for q, v in sorted(s["per_q"].items()))
@@ -226,18 +176,10 @@ def _cmd_analyze(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "intervals": _cmd_intervals,
-        "pdf": _cmd_pdf,
-        "conditional": _cmd_conditional,
-        "clusters": _cmd_clusters,
-        "synth": _cmd_synth,
-        "split": _cmd_split,
-    }
+    handlers = {"analyze": _cmd_analyze, "synth": _cmd_synth, "split": _cmd_split}
     try:
-        return handlers[args.command](args)
-    except (ConfigError, pipeline.IngestError, ValueError) as exc:
+        return handlers.get(args.command, _cmd_stage)(args)
+    except (ConfigError, IngestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,6 @@ __all__ = [
     "IntervalSequence",
     "InsufficientEventsError",
     "extract_intervals",
-    "split_by_threshold_set",
     "pool_scaled_intervals",
 ]
 
@@ -58,10 +57,6 @@ class IntervalSequence:
         return self.intervals / self.mean_interval
 
 
-def _values(vol) -> np.ndarray:
-    return vol.values if isinstance(vol, VolatilitySeries) else np.asarray(vol, dtype=float)
-
-
 def extract_intervals(vol, q: float, session_ids=None, drop_session_gaps: bool = False) -> IntervalSequence:
     """Intervals between successive samples with g(t) > q (strict).
 
@@ -70,7 +65,7 @@ def extract_intervals(vol, q: float, session_ids=None, drop_session_gaps: bool =
     """
     if q <= 0:
         raise ValueError("threshold q must be positive")
-    g = _values(vol)
+    g = vol.values if isinstance(vol, VolatilitySeries) else np.asarray(vol, dtype=float)
     if g.size < 2:
         raise ValueError("volatility series needs at least 2 samples")
     events = np.flatnonzero(g > q)
@@ -86,13 +81,6 @@ def extract_intervals(vol, q: float, session_ids=None, drop_session_gaps: bool =
             raise InsufficientEventsError(q, 1)
         intervals = intervals[keep]
     return IntervalSequence(threshold_q=float(q), intervals=intervals, source_length=int(g.size))
-
-
-def split_by_threshold_set(vol, qs, **kwargs) -> list[IntervalSequence]:
-    """One IntervalSequence per threshold; errors are re-raised tagged by q."""
-    if len(qs) == 0:
-        raise ValueError("threshold set must be non-empty")
-    return [extract_intervals(vol, q, **kwargs) for q in qs]
 
 
 def pool_scaled_intervals(seqs) -> np.ndarray:

@@ -21,7 +21,6 @@ __all__ = [
     "ConditionalMeanCurve",
     "InsufficientPairsError",
     "conditional_blocks",
-    "conditional_samples",
     "conditional_pdf",
     "conditional_mean_curve",
     "shuffle_intervals",
@@ -69,12 +68,6 @@ def conditional_blocks(seq: IntervalSequence, n_subsets: int = 8):
     order = np.argsort(cond, kind="stable")
     idx_blocks = np.array_split(order, n_subsets)
     return [cond[b] for b in idx_blocks], [succ[b] for b in idx_blocks]
-
-
-def conditional_samples(seq: IntervalSequence, n_subsets: int = 8) -> list[np.ndarray]:
-    """Successor samples per conditioning block."""
-    _, succ = conditional_blocks(seq, n_subsets)
-    return succ
 
 
 def conditional_pdf(seq: IntervalSequence, n_subsets: int = 8, k: int = 1,

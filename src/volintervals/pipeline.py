@@ -9,23 +9,21 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
 from .distributions import collapse_distance, pdf_estimate, poisson_deviation, scale_pdf
 from .intervals import InsufficientEventsError, extract_intervals
-from .memory import (
-    InsufficientPairsError,
-    conditional_mean_curve,
-    conditional_pdf,
-    shuffle_intervals,
-)
+from .memory import conditional_mean_curve, conditional_pdf, shuffle_intervals
 from .series import (
     PriceSeries,
     SessionCalendar,
@@ -45,7 +43,9 @@ __all__ = [
     "write_csv",
     "split_by_date",
     "load_config",
+    "q_summary",
     "run_pipeline",
+    "run_stage",
 ]
 
 OUT_DIR_ENV = "VOLINTERVALS_OUT"
@@ -79,13 +79,18 @@ class AnalysisConfig:
     def __post_init__(self):
         if not self.inputs:
             raise ConfigError("no input files configured")
-        if not self.thresholds:
-            raise ConfigError("threshold list must be non-empty")
-        if any(q <= 0 for q in self.thresholds):
-            raise ConfigError("thresholds must be positive")
+        if not self.thresholds or not all(math.isfinite(q) and q > 0 for q in self.thresholds):
+            raise ConfigError(f"thresholds must be finite, positive and non-empty, got {self.thresholds}")
         self.thresholds = sorted(float(q) for q in self.thresholds)
-        if self.ensemble < 1:
-            raise ConfigError("surrogate ensemble size must be >= 1")
+        if self.binning not in ("linear", "logarithmic"):
+            raise ConfigError(f"binning must be 'linear' or 'logarithmic', got {self.binning!r}")
+        for key, least in (("n_bins", 2), ("n_subsets", 1), ("ensemble", 1), ("max_workers", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if bool(self.session_open) != bool(self.session_close):
+            raise ConfigError("session_open and session_close must be given together")
+        if self.drop_session_gaps and not self.session_open:
+            raise ConfigError("drop_session_gaps requires session_open and session_close")
         env_out = os.environ.get(OUT_DIR_ENV)
         if env_out:
             self.out_dir = env_out
@@ -107,18 +112,10 @@ def load_config(path) -> AnalysisConfig:
             kw["thresholds"] = [float(v) for v in value.split(",") if v.strip()]
         elif key in ("bins", "subsets", "seed", "ensemble", "max_workers"):
             kw[{"bins": "n_bins", "subsets": "n_subsets"}.get(key, key)] = int(value)
-        elif key == "binning":
-            kw["binning"] = value
-        elif key == "split_date":
-            kw["split_date"] = value
-        elif key == "session_open":
-            kw["session_open"] = value
-        elif key == "session_close":
-            kw["session_close"] = value
         elif key == "drop_session_gaps":
             kw["drop_session_gaps"] = value.lower() in ("1", "true", "yes")
-        elif key == "out":
-            kw["out_dir"] = value
+        elif key in ("binning", "split_date", "session_open", "session_close", "out"):
+            kw["out_dir" if key == "out" else key] = value
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     return AnalysisConfig(**kw)
@@ -162,10 +159,10 @@ def ingest_csv(path) -> PriceSeries:
     if not np.array_equal(order, np.arange(ts.size)):
         warnings.warn(f"{path}: timestamps out of order; sorting")
         ts, p = ts[order], p[order]
-    if np.any(np.diff(ts) == np.timedelta64(0, "s")):
-        i = int(np.flatnonzero(np.diff(ts) == np.timedelta64(0, "s"))[0])
-        raise IngestError(f"{path}: duplicate timestamp {ts[i]}")
-    step = np.median(np.diff(ts).astype("timedelta64[s]").astype(np.int64))
+    steps = np.diff(ts).astype(np.int64)  # seconds
+    if np.any(steps == 0):
+        raise IngestError(f"{path}: duplicate timestamp {ts[np.flatnonzero(steps == 0)[0]]}")
+    step = np.median(steps)
     return PriceSeries(
         instrument_id=path.stem,
         timestamps=ts,
@@ -205,48 +202,92 @@ def _iso(ts) -> str:
     return np.datetime_as_string(ts, unit="s")
 
 
-class _atomic:
-    """Write to a temp file and rename into place on success."""
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.tmp = self.path.with_name("." + self.path.name + ".tmp")
-
-    def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.fh = open(self.tmp, "w")
-        return self.fh
-
-    def __exit__(self, exc_type, exc, tb):
-        self.fh.close()
-        if exc_type is None:
-            os.replace(self.tmp, self.path)
-        else:
-            self.tmp.unlink(missing_ok=True)
-        return False
+@contextmanager
+def _atomic(path):
+    """Write to a temp file and rename it into place on success."""
+    path = Path(path)
+    tmp = path.with_name("." + path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(v) -> str:
     return f"{v:.10g}"
 
 
-def _write_tsv(path, header: list[str], rows, comment: str | None = None) -> None:
+def _write_tsv(path, header, columns, comment: str | None = None) -> None:
+    # numeric columns come as arrays and print as %.10g, formatted lazily so
+    # only one row of strings is alive at a time; other columns are strings
+    cells = [map("%.10g".__mod__, c.tolist()) if isinstance(c, np.ndarray) else c
+             for c in columns]
     with _atomic(path) as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row) + "\n")
+        fh.writelines("\t".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def _write_json(path, obj) -> None:
     with _atomic(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
-# pipeline
+# analysis stages, shared by `analyze` and the per-stage subcommands
+
+class Table(NamedTuple):
+    """A stage's TSV: q{q}/{stem}{suffix}.tsv under analyze, else {stem}_q{q}{suffix}.tsv."""
+
+    stem: str
+    header: tuple[str, ...]
+    columns: tuple  # numeric np.ndarrays, or sequences of strings
+    suffix: str = ""
+    comment: str | None = None
+
+
+def _intervals_tables(seq, vol, cfg):
+    yield Table("intervals", ("q", "interval"),
+                ([_fmt(seq.threshold_q)] * len(seq), seq.intervals))
+
+
+def _pdf_tables(seq, vol, cfg):
+    pdf = pdf_estimate(seq, mode=cfg.binning, n_bins=cfg.n_bins)
+    scaled = scale_pdf(pdf, seq.mean_interval, q=seq.threshold_q)
+    yield Table("scaled_pdf", ("x", "y"), (scaled.x, scaled.y))
+
+
+_MEAN_HEADER = ("tau0_scaled", "mean_scaled", "stderr")
+
+
+def _conditional_tables(seq, vol, cfg):
+    for k in range(1, cfg.n_subsets + 1):
+        cp = conditional_pdf(seq, n_subsets=cfg.n_subsets, k=k,
+                             mode=cfg.binning, n_bins=cfg.n_bins)
+        yield Table("conditional_pdf", ("x", "y"), (cp.scaled.x, cp.scaled.y), f"_k{k}")
+    curve = conditional_mean_curve(seq, n_bins=cfg.n_subsets)
+    yield Table("conditional_mean", _MEAN_HEADER, (curve.bin_centers, curve.means, curve.stderr))
+
+
+def _shuffled_mean_tables(seq, vol, cfg):
+    curve = conditional_mean_curve(shuffle_intervals(seq, cfg.seed), n_bins=cfg.n_subsets)
+    yield Table("conditional_mean_shuffled", _MEAN_HEADER,
+                (curve.bin_centers, curve.means, curve.stderr))
+
+
+def _cluster_tables(seq, vol, cfg):
+    runs = clusters(median_split(seq), median=float(np.median(seq.intervals)), q=seq.threshold_q)
+    above, below = cluster_survival(runs, "above"), cluster_survival(runs, "below")
+    surv = np.vstack([above, below])
+    yield Table("cluster_survival", ("side", "k", "survival"),
+                (["above"] * len(above) + ["below"] * len(below), surv[:, 0], surv[:, 1]))
+
 
 def _surrogate_envelope(vol, q, cfg) -> tuple[np.ndarray, int]:
     """Mean +/- 3 sigma survival of above-median runs over shuffled volatility."""
@@ -271,68 +312,79 @@ def _surrogate_envelope(vol, q, cfg) -> tuple[np.ndarray, int]:
     return rows, used
 
 
+def _surrogate_tables(seq, vol, cfg):
+    env, used = _surrogate_envelope(vol, seq.threshold_q, cfg)
+    yield Table("cluster_surrogate", ("k", "mean", "lo", "hi"), tuple(env.T),
+                comment=f"seeds={used}")
+
+
+# stage name -> (label that attributes its errors, tables of one threshold);
+# `analyze` runs them all in this order, a subcommand runs the stage of its name
+STAGES = {
+    "intervals": ("extract", _intervals_tables),
+    "pdf": ("pdf", _pdf_tables),
+    "conditional": ("conditional", _conditional_tables),
+    "conditional_shuffled": ("conditional", _shuffled_mean_tables),
+    "clusters": ("clusters", _cluster_tables),
+    "surrogate": ("surrogate", _surrogate_tables),
+}
+
+
+def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
+    """Normalized volatility, intraday-detrended when cfg names a session,
+    and the session id of every sample (None without a session)."""
+    vol = normalize_volatility(log_returns(prices))
+    if not cfg.session_open:
+        return vol, None
+    cal = SessionCalendar(cfg.session_open, cfg.session_close)
+    slots, session_ids = session_slots(vol.timestamps, cal, prices.sampling_interval)
+    pattern = build_intraday_pattern(vol, slots, session_ids)
+    return intraday_detrend(vol, pattern, slots), session_ids
+
+
+def q_summary(seq) -> dict:
+    """Interval count, mean interval and distance from the exponential of one threshold."""
+    return {"count": int(len(seq)), "mean_interval": seq.mean_interval,
+            "poisson_deviation": poisson_deviation(seq)}
+
+
+def run_stage(cfg: AnalysisConfig, name: str, out: Path) -> Iterator:
+    """Run stage `name` on cfg.inputs[0] per threshold, writing under `out`.
+
+    Yields each threshold's IntervalSequence once its files are written;
+    the first failing threshold raises.
+    """
+    vol, session_ids = _volatility(ingest_csv(cfg.inputs[0]), cfg)
+    _, tables = STAGES[name]
+    for q in cfg.thresholds:
+        seq = extract_intervals(vol, q, session_ids=session_ids,
+                                drop_session_gaps=cfg.drop_session_gaps)
+        for t in tables(seq, vol, cfg):
+            _write_tsv(out / f"{t.stem}_q{q:g}{t.suffix}.tsv", t.header, t.columns, t.comment)
+        yield seq
+
+
 def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path) -> dict:
     summary: dict = {"instrument": prices.instrument_id, "n_samples": len(prices), "per_q": {}}
     errors: list[dict] = []
-    vol = normalize_volatility(log_returns(prices))
+    vol, session_ids = _volatility(prices, cfg)
     summary["gaps"] = gap_report(prices)
-    session_ids = None
-    if cfg.session_open and cfg.session_close:
-        cal = SessionCalendar(cfg.session_open, cfg.session_close)
-        slots, session_ids = session_slots(vol.timestamps, cal, prices.sampling_interval)
-        pattern = build_intraday_pattern(vol, slots, session_ids)
-        vol = intraday_detrend(vol, pattern, slots)
+    if session_ids is not None:
         summary["detrended"] = True
 
     seqs = {}
     for q in cfg.thresholds:
-        qdir = outdir / f"q{q:g}"
         stage = "extract"
         try:
             seq = extract_intervals(vol, q, session_ids=session_ids,
                                     drop_session_gaps=cfg.drop_session_gaps)
             seqs[q] = seq
-            _write_tsv(qdir / "intervals.tsv", ["q", "interval"],
-                       ((q, int(t)) for t in seq.intervals))
-
-            stage = "pdf"
-            pdf = pdf_estimate(seq, mode=cfg.binning, n_bins=cfg.n_bins)
-            scaled = scale_pdf(pdf, seq.mean_interval, q=q)
-            _write_tsv(qdir / "scaled_pdf.tsv", ["x", "y"], zip(scaled.x, scaled.y))
-
-            stage = "conditional"
-            for k in range(1, cfg.n_subsets + 1):
-                cp = conditional_pdf(seq, n_subsets=cfg.n_subsets, k=k,
-                                     mode=cfg.binning, n_bins=cfg.n_bins)
-                _write_tsv(qdir / f"conditional_pdf_k{k}.tsv", ["x", "y"],
-                           zip(cp.scaled.x, cp.scaled.y))
-            curve = conditional_mean_curve(seq, n_bins=cfg.n_subsets)
-            _write_tsv(qdir / "conditional_mean.tsv", ["tau0_scaled", "mean_scaled", "stderr"],
-                       zip(curve.bin_centers, curve.means, curve.stderr))
-            shuf_curve = conditional_mean_curve(shuffle_intervals(seq, cfg.seed), n_bins=cfg.n_subsets)
-            _write_tsv(qdir / "conditional_mean_shuffled.tsv",
-                       ["tau0_scaled", "mean_scaled", "stderr"],
-                       zip(shuf_curve.bin_centers, shuf_curve.means, shuf_curve.stderr))
-
-            stage = "clusters"
-            runs = clusters(median_split(seq), median=float(np.median(seq.intervals)), q=q)
-            rows = []
-            for side in ("above", "below"):
-                for k, p in cluster_survival(runs, side):
-                    rows.append((side, int(k), p))
-            _write_tsv(qdir / "cluster_survival.tsv", ["side", "k", "survival"], rows)
-
-            stage = "surrogate"
-            env, used = _surrogate_envelope(vol, q, cfg)
-            _write_tsv(qdir / "cluster_surrogate.tsv", ["k", "mean", "lo", "hi"],
-                       env, comment=f"seeds={used}")
-
-            summary["per_q"][f"{q:g}"] = {
-                "count": int(len(seq)),
-                "mean_interval": seq.mean_interval,
-                "poisson_deviation": poisson_deviation(seq),
-            }
-        except (ValueError, InsufficientEventsError, InsufficientPairsError) as exc:
+            for stage, tables in STAGES.values():
+                for t in tables(seq, vol, cfg):
+                    path = outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv"
+                    _write_tsv(path, t.header, t.columns, t.comment)
+            summary["per_q"][f"{q:g}"] = q_summary(seq)
+        except ValueError as exc:  # InsufficientEvents/PairsError included
             errors.append({"instrument": prices.instrument_id, "q": q,
                            "stage": stage, "error": str(exc)})
 
@@ -375,13 +427,9 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
         else:
             units.append((series, out / series.instrument_id))
 
-    def work(unit):
-        series, outdir = unit
-        return _analyze_one(series, cfg, outdir)
-
     if units:
         with ThreadPoolExecutor(max_workers=min(cfg.max_workers, len(units))) as ex:
-            for summary in ex.map(work, units):
+            for summary in ex.map(lambda unit: _analyze_one(unit[0], cfg, unit[1]), units):
                 report["instruments"].append(summary)
                 report["errors"].extend(summary["errors"])
     report["exit_code"] = 0 if not report["errors"] else 1

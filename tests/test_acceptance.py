@@ -22,7 +22,6 @@ from volintervals import (
     clusters,
     collapse_distance,
     conditional_mean_curve,
-    conditional_samples,
     extract_intervals,
     gen_iid_gaussian,
     impose_intraday_pattern,
@@ -33,9 +32,9 @@ from volintervals import (
     run_pipeline,
     shuffle_intervals,
     shuffle_volatility,
-    split_by_threshold_set,
 )
 from volintervals.cli import main
+from volintervals.memory import conditional_blocks
 
 QS = [1.0, 1.5, 2.0]
 
@@ -115,13 +114,13 @@ def test_criterion_3_conditional_mean_memory(oracle_seqs):
 
 def test_criterion_4_conditional_pdf_separation(oracle_seqs):
     seq = oracle_seqs[1.0]
-    octiles = conditional_samples(seq, 8)
+    octiles = conditional_blocks(seq, 8)[1]
     m, n = octiles[0].size, octiles[-1].size
     null_q = 1.628 * np.sqrt((m + n) / (m * n))  # two-sample KS, 1% level
     d_real = stats.ks_2samp(octiles[0], octiles[-1]).statistic
     quiet = 0
     for seed in range(100):
-        sh = conditional_samples(shuffle_intervals(seq, seed), 8)
+        sh = conditional_blocks(shuffle_intervals(seq, seed), 8)[1]
         if stats.ks_2samp(sh[0], sh[-1]).statistic <= null_q:
             quiet += 1
     report(4, f"conditional PDFs: real KS={d_real:.3f} > {null_q:.4f}; "

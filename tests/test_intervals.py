@@ -9,7 +9,6 @@ from volintervals import (
     VolatilitySeries,
     extract_intervals,
     pool_scaled_intervals,
-    split_by_threshold_set,
 )
 
 
@@ -63,14 +62,14 @@ def test_iid_intervals_are_geometric():
 def test_identical_thresholds_give_identical_sequences():
     rng = np.random.default_rng(9)
     vol = VolatilitySeries(np.abs(rng.standard_normal(2000)))
-    a, b = split_by_threshold_set(vol, [1.0, 1.0])
+    a, b = [extract_intervals(vol, q) for q in [1.0, 1.0]]
     assert np.array_equal(a.intervals, b.intervals)
 
 
 def test_mean_interval_monotone_in_q():
     rng = np.random.default_rng(10)
     vol = VolatilitySeries(np.abs(rng.standard_normal(50000)))
-    seqs = split_by_threshold_set(vol, [1.0, 1.25, 1.5, 1.75, 2.0])
+    seqs = [extract_intervals(vol, q) for q in [1.0, 1.25, 1.5, 1.75, 2.0]]
     means = [s.mean_interval for s in seqs]
     assert all(a <= b for a, b in zip(means, means[1:]))
 
@@ -96,11 +95,6 @@ def test_time_reversal():
     fwd = extract_intervals(VolatilitySeries(g), 1.1)
     rev = extract_intervals(VolatilitySeries(g[::-1]), 1.1)
     assert np.array_equal(fwd.intervals, rev.intervals[::-1])
-
-
-def test_empty_threshold_set_raises():
-    with pytest.raises(ValueError):
-        split_by_threshold_set(VolatilitySeries(np.array([2.0, 0, 2.0])), [])
 
 
 def test_drop_session_gaps():

@@ -6,7 +6,6 @@ from volintervals import (
     IntervalSequence,
     conditional_mean_curve,
     conditional_pdf,
-    conditional_samples,
     extract_intervals,
     shuffle_intervals,
 )
@@ -28,7 +27,7 @@ def test_one_value_per_subset():
 
 def test_periodic_alternation():
     seq = make_seq([1, 9] * 10)
-    samples = conditional_samples(seq, n_subsets=2)
+    samples = conditional_blocks(seq, n_subsets=2)[1]
     assert set(samples[0].tolist()) == {9}
     assert set(samples[1].tolist()) == {1}
 
@@ -44,7 +43,7 @@ def test_conditional_mean_alternating_exact():
 def test_union_of_conditional_samples_is_all_successors():
     rng = np.random.default_rng(0)
     seq = make_seq(rng.geometric(0.3, size=500))
-    samples = conditional_samples(seq, n_subsets=8)
+    samples = conditional_blocks(seq, n_subsets=8)[1]
     combined = np.sort(np.concatenate(samples))
     assert np.array_equal(combined, np.sort(seq.intervals[1:]))
 
@@ -71,7 +70,7 @@ def test_tie_break_is_stable_by_time_index():
 
 def test_insufficient_pairs():
     with pytest.raises(InsufficientPairsError):
-        conditional_samples(make_seq([1, 2, 3]), n_subsets=8)
+        conditional_blocks(make_seq([1, 2, 3]), n_subsets=8)
 
 
 def test_iid_geometric_bin_means_near_one():
@@ -121,7 +120,7 @@ def test_shuffled_conditional_matches_unconditional():
     n_seeds = 25
     for seed in range(n_seeds):
         shuf = shuffle_intervals(seq, seed)
-        sample = conditional_samples(shuf, 8)[0]
+        sample = conditional_blocks(shuf, 8)[1][0]
         p = stats.ks_2samp(sample, shuf.intervals).pvalue
         passed += p > 0.01
     assert passed >= int(0.95 * n_seeds)

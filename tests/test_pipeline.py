@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from volintervals import AnalysisConfig, ingest_csv, run_pipeline, split_by_date, write_csv
 from volintervals.cli import main
-from volintervals.pipeline import ConfigError, IngestError, load_config
+from volintervals.pipeline import ConfigError, IngestError, _write_json, load_config
 
 
 def synth_csv(path, length=20000, kind="correlated", seed=0):
@@ -84,6 +85,23 @@ class TestSplitByDate:
         assert post.timestamps[0] >= np.datetime64("1990-01-01")
 
 
+# case id -> (AnalysisConfig keyword overrides, key the error must name)
+INVALID_CONFIGS = {
+    "empty_thresholds": ({"thresholds": []}, "threshold"),
+    "nan_threshold": ({"thresholds": [1.0, float("nan")]}, "thresholds"),
+    "inf_threshold": ({"thresholds": [float("inf")]}, "thresholds"),
+    "negative_threshold": ({"thresholds": [-1.0]}, "thresholds"),
+    "zero_subsets": ({"n_subsets": 0}, "n_subsets"),
+    "one_bin": ({"n_bins": 1}, "n_bins"),
+    "unknown_binning": ({"binning": "log"}, "binning"),
+    "zero_workers": ({"max_workers": 0}, "max_workers"),
+    "zero_ensemble": ({"ensemble": 0}, "ensemble"),
+    "open_without_close": ({"session_open": "09:00"}, "session_close"),
+    "close_without_open": ({"session_close": "15:00"}, "session_open"),
+    "gaps_without_session": ({"drop_session_gaps": True}, "drop_session_gaps"),
+}
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipe")
@@ -113,9 +131,15 @@ class TestRunPipeline:
         matrix = json.loads((out / "collapse_matrix.json").read_text())
         assert np.asarray(matrix["ks_distance"]).shape == (2, 2)
 
-    def test_empty_thresholds_is_config_error(self):
-        with pytest.raises(ConfigError):
-            AnalysisConfig(inputs=["x.csv"], thresholds=[])
+    @pytest.mark.parametrize("override, key", INVALID_CONFIGS.values(), ids=list(INVALID_CONFIGS))
+    def test_invalid_config_is_config_error(self, override, key):
+        with pytest.raises(ConfigError, match=key):
+            AnalysisConfig(**{"inputs": ["x.csv"], "thresholds": [1.0], **override})
+
+    def test_json_rejects_non_finite(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "x.json", {"q": float("nan")})
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_reruns_byte_identical(self, pipeline_run, tmp_path):
         tmp, cfg, _ = pipeline_run
@@ -169,13 +193,14 @@ class TestConfigFile:
         f.write_text(
             "# comment\ninput = a.csv\ninput = b.csv\nq = 1.0,1.5\nbins = 20\n"
             "subsets = 4\nseed = 7\nensemble = 9\nout = results\n"
-            "drop_session_gaps = true\n")
+            "session_open = 09:00\nsession_close = 15:00\ndrop_session_gaps = true\n")
         cfg = load_config(f)
         assert cfg.inputs == ["a.csv", "b.csv"]
         assert cfg.thresholds == [1.0, 1.5]
         assert cfg.n_bins == 20 and cfg.n_subsets == 4
         assert cfg.seed == 7 and cfg.ensemble == 9
         assert cfg.out_dir == "results"
+        assert (cfg.session_open, cfg.session_close) == ("09:00", "15:00")
         assert cfg.drop_session_gaps
 
     def test_unknown_key(self, tmp_path):
@@ -229,6 +254,43 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "o" / "s_pre.csv").exists()
         assert (tmp_path / "o" / "s_post.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["intervals", "--seed", "1"],
+        ["intervals", "--bins", "12"],
+        ["pdf", "--ensemble", "5"],
+        ["pdf", "--subsets", "4"],
+        ["conditional", "--split-date", "1990-01-01"],
+        ["clusters", "--drop-session-gaps"],
+        ["clusters", "--linear-bins"],
+        ["analyze", "--drop-session-gaps"],
+    ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+    def test_unread_flags_rejected(self, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(tmp_path / "s.csv"), "--q", "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("binning", ["--linear-bins", "--log-bins"])
+    def test_subcommand_files_match_analyze(self, tmp_path, binning):
+        csv = synth_csv(tmp_path / "s.csv", length=20000, kind="correlated", seed=7)
+        qs = ["--q", "1", "--q", "1.5"]
+        bins = [binning, "--bins", "12"]
+        assert main(["analyze", str(csv), *qs, *bins, "--subsets", "4", "--ensemble", "2",
+                     "--out", str(tmp_path / "a")]) == 0
+        flags = {"intervals": [], "pdf": bins, "conditional": [*bins, "--subsets", "4"],
+                 "clusters": []}
+        expected = {"intervals": 2, "pdf": 2, "conditional": 10, "clusters": 2}
+        for cmd, extra in flags.items():
+            out = tmp_path / cmd
+            assert main([cmd, str(csv), *qs, *extra, "--out", str(out)]) == 0
+            files = sorted(out.glob("*.tsv"))
+            assert len(files) == expected[cmd]
+            for f in files:
+                m = re.fullmatch(r"(.+)_q([\d.]+)(_k\d+)?\.tsv", f.name)
+                twin = tmp_path / "a" / "s" / f"q{m[2]}" / f"{m[1]}{m[3] or ''}.tsv"
+                assert f.read_bytes() == twin.read_bytes(), f.name
 
     def test_analyze_subcommand_exit_codes(self, tmp_path):
         csv = synth_csv(tmp_path / "s.csv", length=10000, kind="correlated", seed=6)
