@@ -106,18 +106,23 @@ def load_config(path) -> AnalysisConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "input":
-            kw.setdefault("inputs", []).append(value)
-        elif key == "q":
-            kw["thresholds"] = [float(v) for v in value.split(",") if v.strip()]
-        elif key in ("bins", "subsets", "seed", "ensemble", "max_workers"):
-            kw[{"bins": "n_bins", "subsets": "n_subsets"}.get(key, key)] = int(value)
-        elif key == "drop_session_gaps":
-            kw["drop_session_gaps"] = value.lower() in ("1", "true", "yes")
-        elif key in ("binning", "split_date", "session_open", "session_close", "out"):
-            kw["out_dir" if key == "out" else key] = value
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key == "input":
+                kw.setdefault("inputs", []).append(value)
+            elif key == "q":
+                kw["thresholds"] = [float(v) for v in value.split(",") if v.strip()]
+            elif key in ("bins", "subsets", "seed", "ensemble", "max_workers"):
+                kw[{"bins": "n_bins", "subsets": "n_subsets"}.get(key, key)] = int(value)
+            elif key == "drop_session_gaps":
+                kw["drop_session_gaps"] = value.lower() in ("1", "true", "yes")
+            elif key in ("binning", "split_date", "session_open", "session_close", "out"):
+                kw["out_dir" if key == "out" else key] = value
+            else:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        except ConfigError:
+            raise
+        except ValueError as exc:  # int() or float() of the value
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return AnalysisConfig(**kw)
 
 
@@ -149,6 +154,9 @@ def ingest_csv(path) -> PriceSeries:
                 price = float(row[1])
             except ValueError as exc:
                 raise IngestError(f"{path}: line {lineno}: bad price {row[1]!r}") from exc
+            if not (math.isfinite(price) and price > 0):
+                raise IngestError(f"{path}: line {lineno}: price must be finite and positive, "
+                                  f"got {row[1]!r}")
             timestamps.append(ts)
             prices.append(price)
     if len(prices) < 2:
@@ -289,45 +297,50 @@ def _cluster_tables(seq, vol, cfg):
                 (["above"] * len(above) + ["below"] * len(below), surv[:, 0], surv[:, 1]))
 
 
-def _surrogate_envelope(vol, q, cfg) -> tuple[np.ndarray, int]:
-    """Mean +/- 3 sigma survival of above-median runs over shuffled volatility."""
-    surv = np.zeros((cfg.ensemble, _SURROGATE_KMAX))
-    used = 0
-    for i in range(cfg.ensemble):
-        try:
-            sv = shuffle_volatility(vol, cfg.seed + i)
-            seq = extract_intervals(sv, q)
-        except InsufficientEventsError:
-            continue
-        s = cluster_survival(clusters(median_split(seq)), side="above")
-        k = np.minimum(s.shape[0], _SURROGATE_KMAX)
-        surv[used, :k] = s[:k, 1]
-        used += 1
-    if used == 0:
-        raise InsufficientEventsError(q, 0)
-    surv = surv[:used]
-    mean = surv.mean(axis=0)
-    sd = surv.std(axis=0, ddof=1) if used > 1 else np.zeros(_SURROGATE_KMAX)
-    rows = np.column_stack([np.arange(1, _SURROGATE_KMAX + 1), mean, mean - 3 * sd, mean + 3 * sd])
-    return rows, used
-
-
-def _surrogate_tables(seq, vol, cfg):
-    env, used = _surrogate_envelope(vol, seq.threshold_q, cfg)
-    yield Table("cluster_surrogate", ("k", "mean", "lo", "hi"), tuple(env.T),
-                comment=f"seeds={used}")
-
-
 # stage name -> (label that attributes its errors, tables of one threshold);
-# `analyze` runs them all in this order, a subcommand runs the stage of its name
+# `analyze` runs them all in this order and then the surrogate of every
+# threshold that passed them, a subcommand runs the stage of its name
 STAGES = {
     "intervals": ("extract", _intervals_tables),
     "pdf": ("pdf", _pdf_tables),
     "conditional": ("conditional", _conditional_tables),
     "conditional_shuffled": ("conditional", _shuffled_mean_tables),
     "clusters": ("clusters", _cluster_tables),
-    "surrogate": ("surrogate", _surrogate_tables),
 }
+
+
+def _surrogate_envelopes(vol, qs, cfg) -> dict:
+    """Mean +/- 3 sigma survival of above-median runs over shuffled volatility.
+
+    One permutation per seed serves every q: in ascending order, each q's
+    events are the previous q's that exceed it, and a permutation keeps
+    their number. Maps q to (rows, seeds used) or to the ValueError that
+    stopped it.
+    """
+    qs = sorted(set(qs))
+    out: dict = {q: InsufficientEventsError(q, n) for q in qs
+                 if (n := int(np.count_nonzero(vol.values > q))) < 2}
+    surv = {q: np.zeros((cfg.ensemble, _SURROGATE_KMAX)) for q in qs if q not in out}
+    for i in range(cfg.ensemble):
+        if not surv:
+            break
+        g, ev = shuffle_volatility(vol, cfg.seed + i).values, None
+        for q in list(surv):
+            ev = np.flatnonzero(g > q) if ev is None else ev[g[ev] > q]
+            iv = np.diff(ev)
+            try:
+                s = cluster_survival(clusters(iv > np.median(iv)), side="above")
+            except ValueError as exc:  # no interval above the median
+                out[q] = exc
+                del surv[q]
+                continue
+            surv[q][i, :min(s.shape[0], _SURROGATE_KMAX)] = s[:_SURROGATE_KMAX, 1]
+    for q, sv in surv.items():
+        mean = sv.mean(axis=0)
+        sd = sv.std(axis=0, ddof=1) if cfg.ensemble > 1 else np.zeros(_SURROGATE_KMAX)
+        out[q] = (np.column_stack([np.arange(1, _SURROGATE_KMAX + 1), mean,
+                                   mean - 3 * sd, mean + 3 * sd]), cfg.ensemble)
+    return out
 
 
 def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
@@ -366,13 +379,12 @@ def run_stage(cfg: AnalysisConfig, name: str, out: Path) -> Iterator:
 
 def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path) -> dict:
     summary: dict = {"instrument": prices.instrument_id, "n_samples": len(prices), "per_q": {}}
-    errors: list[dict] = []
     vol, session_ids = _volatility(prices, cfg)
     summary["gaps"] = gap_report(prices)
     if session_ids is not None:
         summary["detrended"] = True
 
-    seqs = {}
+    seqs, errors = {}, {}
     for q in cfg.thresholds:
         stage = "extract"
         try:
@@ -383,17 +395,24 @@ def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path) -> dict
                 for t in tables(seq, vol, cfg):
                     path = outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv"
                     _write_tsv(path, t.header, t.columns, t.comment)
-            summary["per_q"][f"{q:g}"] = q_summary(seq)
         except ValueError as exc:  # InsufficientEvents/PairsError included
-            errors.append({"instrument": prices.instrument_id, "q": q,
-                           "stage": stage, "error": str(exc)})
+            errors[q] = {"instrument": prices.instrument_id, "q": q,
+                         "stage": stage, "error": str(exc)}
+    for q, env in _surrogate_envelopes(vol, [q for q in seqs if q not in errors], cfg).items():
+        if isinstance(env, ValueError):
+            errors[q] = {"instrument": prices.instrument_id, "q": q,
+                         "stage": "surrogate", "error": str(env)}
+        else:
+            _write_tsv(outdir / f"q{q:g}" / "cluster_surrogate.tsv", ("k", "mean", "lo", "hi"),
+                       tuple(env[0].T), f"seeds={env[1]}")
+            summary["per_q"][f"{q:g}"] = q_summary(seqs[q])
 
     if len(seqs) >= 2:
         qs = sorted(seqs)
         mat = collapse_distance([seqs[q] for q in qs])
         _write_json(outdir / "collapse_matrix.json",
                     {"q": [f"{q:g}" for q in qs], "ks_distance": mat.tolist()})
-    summary["errors"] = errors
+    summary["errors"] = [errors[q] for q in cfg.thresholds if q in errors]
     _write_json(outdir / "summary.json", summary)
     return summary
 

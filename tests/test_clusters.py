@@ -124,6 +124,15 @@ class TestShuffleVolatility:
         vol = VolatilitySeries(np.array([2.5]))
         assert shuffle_volatility(vol, 0).values.tolist() == [2.5]
 
+    @given(st.lists(st.floats(min_value=0, allow_nan=False), min_size=1, max_size=300),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=0, allow_nan=False))
+    def test_exceedance_count_is_permutation_invariant(self, values, seed, q):
+        # why one shuffle can serve every threshold without an events check per seed
+        vol = VolatilitySeries(np.array(values))
+        assert np.count_nonzero(shuffle_volatility(vol, seed).values > q) == \
+            np.count_nonzero(vol.values > q)
+
     def test_shuffled_correlated_runs_near_geometric(self, correlated_vol):
         # shuffling the volatility makes the interval labels exchangeable
         shuf = shuffle_volatility(correlated_vol, 5)

@@ -1,0 +1,61 @@
+"""Byte identity of a small `analyze` tree against a committed sha256 manifest.
+
+Any change to the analysis, the seeds, the number formatting or the file
+layout shows up here as a changed, missing or extra file. A change that
+alters outputs on purpose regenerates the manifest with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from volintervals.cli import main
+
+MANIFEST = Path(__file__).with_name("golden_sha256.json")
+# q=3 has too few intervals for 8 conditional subsets on the whole series
+# but enough for 2 on each split half; q=6 has no events at all
+QS = ["--q", "1", "--q", "1.5", "--q", "2", "--q", "3", "--q", "6"]
+RUNS = {
+    "log": [*QS, "--ensemble", "20"],
+    "linear_split": [*QS, "--ensemble", "20", "--linear-bins", "--subsets", "2",
+                     "--split-date", "1995-01-01"],
+}
+
+
+def golden_tree(tmp: Path) -> dict[str, str]:
+    """sha256 of every file the golden runs write, keyed by run/relative path."""
+    csv = tmp / "inst.csv"
+    assert main(["synth", "--kind", "correlated", "--length", str(2**13), "--seed", "3",
+                 "--out", str(csv)]) == 0
+    digests = {"inst.csv": hashlib.sha256(csv.read_bytes()).hexdigest()}
+    for name, flags in RUNS.items():
+        out = tmp / name
+        assert main(["analyze", str(csv), *flags, "--out", str(out)]) == 1  # q=6 fails
+        for f in sorted(out.rglob("*")):
+            if f.is_file():
+                digests[f"{name}/{f.relative_to(out).as_posix()}"] = \
+                    hashlib.sha256(f.read_bytes()).hexdigest()
+    return digests
+
+
+def test_analyze_tree_matches_manifest(tmp_path, monkeypatch):
+    monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+    expected = json.loads(MANIFEST.read_text())
+    got = golden_tree(tmp_path)
+    assert sorted(got) == sorted(expected)
+    changed = [name for name in expected if got[name] != expected[name]]
+    assert not changed
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = golden_tree(Path(tmp))
+    MANIFEST.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {MANIFEST} ({len(digests)} files)", file=sys.stderr)

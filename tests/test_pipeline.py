@@ -6,9 +6,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volintervals import AnalysisConfig, ingest_csv, run_pipeline, split_by_date, write_csv
+from volintervals import (
+    AnalysisConfig,
+    InsufficientEventsError,
+    VolatilitySeries,
+    cluster_survival,
+    clusters,
+    extract_intervals,
+    ingest_csv,
+    median_split,
+    run_pipeline,
+    shuffle_volatility,
+    split_by_date,
+    write_csv,
+)
 from volintervals.cli import main
-from volintervals.pipeline import ConfigError, IngestError, _write_json, load_config
+from volintervals.pipeline import (
+    ConfigError,
+    IngestError,
+    _surrogate_envelopes,
+    _write_json,
+    load_config,
+)
+from volintervals.synthetic import correlated_gaussian
 
 
 def synth_csv(path, length=20000, kind="correlated", seed=0):
@@ -51,6 +71,27 @@ class TestIngest:
         f.write_text("time,close\n2000-01-03,1\n")
         with pytest.raises(IngestError, match="header"):
             ingest_csv(f)
+
+    @pytest.mark.parametrize("price", ["nan", "inf", "-inf", "0", "-3.5"])
+    def test_non_finite_or_non_positive_price_cites_line(self, tmp_path, price):
+        f = tmp_path / "p.csv"
+        f.write_text("timestamp,price\n2000-01-03T00:00:00,100\n"
+                     f"2000-01-04T00:00:00,{price}\n2000-01-05T00:00:00,101\n")
+        with pytest.raises(IngestError, match=rf"p\.csv: line 3: .*'{re.escape(price)}'"):
+            ingest_csv(f)
+
+    def test_bad_price_file_does_not_stop_other_inputs(self, tmp_path):
+        good = synth_csv(tmp_path / "good.csv", length=2000, kind="iid", seed=8)
+        neg = tmp_path / "neg.csv"
+        neg.write_text("timestamp,price\n2000-01-03T00:00:00,100\n2000-01-04T00:00:00,-1\n")
+        out = tmp_path / "out"
+        assert main(["analyze", str(good), str(neg), "--q", "1", "--ensemble", "2",
+                     "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert [(e["instrument"], e["stage"]) for e in report["errors"]] == [(str(neg), "ingest")]
+        assert "line 3" in report["errors"][0]["error"]
+        assert [s["instrument"] for s in report["instruments"]] == ["good"]
+        assert (out / "good" / "q1" / "cluster_surrogate.tsv").exists()
 
     def test_emit_then_ingest_round_trip(self, tmp_path):
         f = synth_csv(tmp_path / "s.csv", length=500, kind="iid", seed=3)
@@ -176,6 +217,24 @@ class TestRunPipeline:
         assert pre == post
         assert len(pre) > 0
 
+    def test_q_failing_conditional_gets_no_surrogate(self, tmp_path):
+        csv = synth_csv(tmp_path / "inst.csv", length=20000, kind="correlated", seed=1)
+        out = tmp_path / "out"
+        # q=3.5 has 11 events: extraction passes, 8 conditional subsets need 16 intervals
+        cfg = AnalysisConfig(inputs=[str(csv)], thresholds=[3.5, 1.0], ensemble=5,
+                             out_dir=str(out))
+        report = run_pipeline(cfg)
+        assert report["errors"] == [{
+            "error": "need at least 16 intervals for 8 subsets, have 10",
+            "instrument": "inst", "q": 3.5, "stage": "conditional"}]
+        assert sorted(p.name for p in (out / "inst" / "q3.5").iterdir()) == \
+            ["intervals.tsv", "scaled_pdf.tsv"]
+        assert (out / "inst" / "q1" / "cluster_surrogate.tsv").read_text() \
+            .startswith("# seeds=5\nk\tmean\tlo\thi\n")
+        summary = json.loads((out / "inst" / "summary.json").read_text())
+        assert list(summary["per_q"]) == ["1"]
+        assert json.loads((out / "inst" / "collapse_matrix.json").read_text())["q"] == ["1", "3.5"]
+
     def test_errors_attributed_and_pipeline_continues(self, tmp_path):
         csv = synth_csv(tmp_path / "inst.csv", length=2000, kind="iid", seed=4)
         # q=50 yields no events; q=1 still succeeds
@@ -185,6 +244,52 @@ class TestRunPipeline:
         assert report["exit_code"] == 1
         assert any(e["q"] == 50.0 and e["stage"] == "extract" for e in report["errors"])
         assert (tmp_path / "out" / "inst" / "q1" / "intervals.tsv").exists()
+
+
+def per_threshold_envelope(vol, q, cfg):
+    """Reference surrogate of one threshold: a fresh shuffle and extraction per seed."""
+    surv = np.zeros((cfg.ensemble, 15))
+    try:
+        for i in range(cfg.ensemble):
+            seq = extract_intervals(shuffle_volatility(vol, cfg.seed + i), q)
+            s = cluster_survival(clusters(median_split(seq)), side="above")
+            k = min(s.shape[0], 15)
+            surv[i, :k] = s[:k, 1]
+    except ValueError as exc:
+        return exc
+    mean, sd = surv.mean(axis=0), surv.std(axis=0, ddof=1)
+    return np.column_stack([np.arange(1, 16), mean, mean - 3 * sd, mean + 3 * sd])
+
+
+class TestSurrogateEnvelopes:
+    def assert_matches_per_threshold(self, vol, qs, cfg):
+        got = _surrogate_envelopes(vol, qs, cfg)
+        assert sorted(got) == sorted(set(qs))
+        for q in qs:
+            want = per_threshold_envelope(vol, q, cfg)
+            if isinstance(want, ValueError):
+                assert type(got[q]) is type(want) and str(got[q]) == str(want), q
+            else:
+                rows, used = got[q]
+                assert np.array_equal(rows, want), q
+                assert used == cfg.ensemble
+        return got
+
+    def test_matches_per_threshold_loop(self):
+        vol = VolatilitySeries(np.abs(correlated_gaussian(2**14, 0.3, seed=2)))
+        cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0], seed=11, ensemble=6)
+        qs = [2.0, 1.0, float(vol.values.max()) + 1, 1.5]
+        got = self.assert_matches_per_threshold(vol, qs, cfg)
+        assert isinstance(got[qs[2]], InsufficientEventsError)
+
+    def test_seed_without_above_median_run_fails_its_threshold(self):
+        # q=1 has 3 events: a seed that spaces them evenly leaves both intervals
+        # at the median; q=0.5 has 10 events and an above-median run in every seed
+        vol = VolatilitySeries(np.array([5, 5, 0, 5, 0.7, 0.7, 0, 0.7, 0.7, 0.7, 0.7, 0.7]))
+        cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0], ensemble=8)
+        got = self.assert_matches_per_threshold(vol, [1.0, 0.5], cfg)
+        assert str(got[1.0]) == "no above-median clusters"
+        assert got[0.5][1] == 8
 
 
 class TestConfigFile:
@@ -208,6 +313,14 @@ class TestConfigFile:
         f.write_text("input = a.csv\nq = 1\nwat = 3\n")
         with pytest.raises(ConfigError, match="wat"):
             load_config(f)
+
+    @pytest.mark.parametrize("key, value", [("bins", "x"), ("q", "1,abc"), ("seed", "1.5")])
+    def test_bad_value_names_line_and_key(self, tmp_path, key, value):
+        f = tmp_path / "cfg"
+        f.write_text(f"input = a.csv\nq = 1\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(f)
+        assert str(exc.value) == f"{f}:3: bad value for {key}: {value!r}"
 
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VOLINTERVALS_OUT", str(tmp_path / "envout"))
