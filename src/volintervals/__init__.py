@@ -23,9 +23,8 @@ from .intervals import (
 )
 from .memory import (
     ConditionalMeanCurve,
-    ConditionalPDF,
     conditional_mean_curve,
-    conditional_pdf,
+    conditional_pdfs,
     shuffle_intervals,
 )
 from .pipeline import AnalysisConfig, ingest_csv, run_pipeline, split_by_date, write_csv

@@ -17,11 +17,10 @@ from .distributions import ScaledPDF, pdf_estimate, scale_pdf
 from .intervals import IntervalSequence
 
 __all__ = [
-    "ConditionalPDF",
     "ConditionalMeanCurve",
     "InsufficientPairsError",
     "conditional_blocks",
-    "conditional_pdf",
+    "conditional_pdfs",
     "conditional_mean_curve",
     "shuffle_intervals",
 ]
@@ -29,17 +28,6 @@ __all__ = [
 
 class InsufficientPairsError(ValueError):
     """Too few successor pairs to form the requested subsets."""
-
-
-@dataclass(frozen=True)
-class ConditionalPDF:
-    """Scaled PDF of intervals following a predecessor in one value block."""
-
-    subset_index: int  # 1-based
-    subset_range: tuple[float, float]  # min/max conditioning value
-    scaled: ScaledPDF
-    sample: np.ndarray  # raw conditional intervals
-    q: float
 
 
 @dataclass(frozen=True)
@@ -70,27 +58,16 @@ def conditional_blocks(seq: IntervalSequence, n_subsets: int = 8):
     return [cond[b] for b in idx_blocks], [succ[b] for b in idx_blocks]
 
 
-def conditional_pdf(seq: IntervalSequence, n_subsets: int = 8, k: int = 1,
-                    mode: str = "logarithmic", n_bins: int = 20) -> ConditionalPDF:
-    """Scaled PDF of intervals whose predecessor lies in value block k.
+def conditional_pdfs(seq: IntervalSequence, n_subsets: int = 8,
+                     mode: str = "logarithmic", n_bins: int = 20) -> list[ScaledPDF]:
+    """Scaled PDF of the successors in each value block, block 1 first.
 
-    Scaling uses the full-sequence mean interval, so conditional curves
-    for different k are directly comparable.
+    Scaling uses the full-sequence mean interval, so the conditional
+    curves of different blocks are directly comparable.
     """
-    if not 1 <= k <= n_subsets:
-        raise ValueError(f"k must be in 1..{n_subsets}")
-    cond, succ = conditional_blocks(seq, n_subsets)
-    sample = succ[k - 1]
-    if sample.size == 0:
-        raise InsufficientPairsError(f"subset {k} has no successor pairs")
-    pdf = pdf_estimate(sample, mode=mode, n_bins=n_bins)
-    return ConditionalPDF(
-        subset_index=k,
-        subset_range=(float(cond[k - 1].min()), float(cond[k - 1].max())),
-        scaled=scale_pdf(pdf, seq.mean_interval, q=seq.threshold_q),
-        sample=sample,
-        q=seq.threshold_q,
-    )
+    _, succ = conditional_blocks(seq, n_subsets)
+    return [scale_pdf(pdf_estimate(s, mode=mode, n_bins=n_bins), seq.mean_interval,
+                      q=seq.threshold_q) for s in succ]
 
 
 def conditional_mean_curve(seq: IntervalSequence, n_bins: int = 8) -> ConditionalMeanCurve:

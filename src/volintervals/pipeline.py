@@ -14,7 +14,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -23,7 +23,7 @@ import numpy as np
 from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
 from .distributions import collapse_distance, pdf_estimate, poisson_deviation, scale_pdf
 from .intervals import InsufficientEventsError, extract_intervals
-from .memory import conditional_mean_curve, conditional_pdf, shuffle_intervals
+from .memory import conditional_mean_curve, conditional_pdfs, shuffle_intervals
 from .series import (
     PriceSeries,
     SessionCalendar,
@@ -75,13 +75,14 @@ class AnalysisConfig:
     drop_session_gaps: bool = False
     out_dir: str = "out"
     max_workers: int = 4
+    calendar: SessionCalendar | None = field(init=False, default=None)  # from session_open/close
 
     def __post_init__(self):
         if not self.inputs:
             raise ConfigError("no input files configured")
         if not self.thresholds or not all(math.isfinite(q) and q > 0 for q in self.thresholds):
             raise ConfigError(f"thresholds must be finite, positive and non-empty, got {self.thresholds}")
-        self.thresholds = sorted(float(q) for q in self.thresholds)
+        self.thresholds = sorted({float(q) for q in self.thresholds})
         if self.binning not in ("linear", "logarithmic"):
             raise ConfigError(f"binning must be 'linear' or 'logarithmic', got {self.binning!r}")
         for key, least in (("n_bins", 2), ("n_subsets", 1), ("ensemble", 1), ("max_workers", 1)):
@@ -91,6 +92,11 @@ class AnalysisConfig:
             raise ConfigError("session_open and session_close must be given together")
         if self.drop_session_gaps and not self.session_open:
             raise ConfigError("drop_session_gaps requires session_open and session_close")
+        try:
+            if self.session_open:
+                self.calendar = SessionCalendar(self.session_open, self.session_close)
+        except ValueError as exc:  # a bound that is not HH:MM, or open not before close
+            raise ConfigError(str(exc)) from None
         env_out = os.environ.get(OUT_DIR_ENV)
         if env_out:
             self.out_dir = env_out
@@ -257,15 +263,14 @@ class Table(NamedTuple):
     header: tuple[str, ...]
     columns: tuple  # numeric np.ndarrays, or sequences of strings
     suffix: str = ""
-    comment: str | None = None
 
 
-def _intervals_tables(seq, vol, cfg):
+def _intervals_tables(seq, cfg):
     yield Table("intervals", ("q", "interval"),
                 ([_fmt(seq.threshold_q)] * len(seq), seq.intervals))
 
 
-def _pdf_tables(seq, vol, cfg):
+def _pdf_tables(seq, cfg):
     pdf = pdf_estimate(seq, mode=cfg.binning, n_bins=cfg.n_bins)
     scaled = scale_pdf(pdf, seq.mean_interval, q=seq.threshold_q)
     yield Table("scaled_pdf", ("x", "y"), (scaled.x, scaled.y))
@@ -274,23 +279,22 @@ def _pdf_tables(seq, vol, cfg):
 _MEAN_HEADER = ("tau0_scaled", "mean_scaled", "stderr")
 
 
-def _conditional_tables(seq, vol, cfg):
-    for k in range(1, cfg.n_subsets + 1):
-        cp = conditional_pdf(seq, n_subsets=cfg.n_subsets, k=k,
-                             mode=cfg.binning, n_bins=cfg.n_bins)
-        yield Table("conditional_pdf", ("x", "y"), (cp.scaled.x, cp.scaled.y), f"_k{k}")
+def _conditional_tables(seq, cfg):
+    pdfs = conditional_pdfs(seq, n_subsets=cfg.n_subsets, mode=cfg.binning, n_bins=cfg.n_bins)
+    for k, scaled in enumerate(pdfs, start=1):
+        yield Table("conditional_pdf", ("x", "y"), (scaled.x, scaled.y), f"_k{k}")
     curve = conditional_mean_curve(seq, n_bins=cfg.n_subsets)
     yield Table("conditional_mean", _MEAN_HEADER, (curve.bin_centers, curve.means, curve.stderr))
 
 
-def _shuffled_mean_tables(seq, vol, cfg):
+def _shuffled_mean_tables(seq, cfg):
     curve = conditional_mean_curve(shuffle_intervals(seq, cfg.seed), n_bins=cfg.n_subsets)
     yield Table("conditional_mean_shuffled", _MEAN_HEADER,
                 (curve.bin_centers, curve.means, curve.stderr))
 
 
-def _cluster_tables(seq, vol, cfg):
-    runs = clusters(median_split(seq), median=float(np.median(seq.intervals)), q=seq.threshold_q)
+def _cluster_tables(seq, cfg):
+    runs = clusters(median_split(seq))
     above, below = cluster_survival(runs, "above"), cluster_survival(runs, "below")
     surv = np.vstack([above, below])
     yield Table("cluster_survival", ("side", "k", "survival"),
@@ -317,10 +321,9 @@ def _surrogate_envelopes(vol, qs, cfg) -> dict:
     their number. Maps q to (rows, seeds used) or to the ValueError that
     stopped it.
     """
-    qs = sorted(set(qs))
     out: dict = {q: InsufficientEventsError(q, n) for q in qs
                  if (n := int(np.count_nonzero(vol.values > q))) < 2}
-    surv = {q: np.zeros((cfg.ensemble, _SURROGATE_KMAX)) for q in qs if q not in out}
+    surv = {q: np.zeros((cfg.ensemble, _SURROGATE_KMAX)) for q in sorted(qs) if q not in out}
     for i in range(cfg.ensemble):
         if not surv:
             break
@@ -347,10 +350,9 @@ def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
     """Normalized volatility, intraday-detrended when cfg names a session,
     and the session id of every sample (None without a session)."""
     vol = normalize_volatility(log_returns(prices))
-    if not cfg.session_open:
+    if cfg.calendar is None:
         return vol, None
-    cal = SessionCalendar(cfg.session_open, cfg.session_close)
-    slots, session_ids = session_slots(vol.timestamps, cal, prices.sampling_interval)
+    slots, session_ids = session_slots(vol.timestamps, cfg.calendar, prices.sampling_interval)
     pattern = build_intraday_pattern(vol, slots, session_ids)
     return intraday_detrend(vol, pattern, slots), session_ids
 
@@ -372,15 +374,21 @@ def run_stage(cfg: AnalysisConfig, name: str, out: Path) -> Iterator:
     for q in cfg.thresholds:
         seq = extract_intervals(vol, q, session_ids=session_ids,
                                 drop_session_gaps=cfg.drop_session_gaps)
-        for t in tables(seq, vol, cfg):
-            _write_tsv(out / f"{t.stem}_q{q:g}{t.suffix}.tsv", t.header, t.columns, t.comment)
+        for t in tables(seq, cfg):
+            _write_tsv(out / f"{t.stem}_q{q:g}{t.suffix}.tsv", t.header, t.columns)
         yield seq
 
 
 def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path) -> dict:
-    summary: dict = {"instrument": prices.instrument_id, "n_samples": len(prices), "per_q": {}}
-    vol, session_ids = _volatility(prices, cfg)
-    summary["gaps"] = gap_report(prices)
+    summary: dict = {"instrument": prices.instrument_id, "n_samples": len(prices), "per_q": {},
+                     "gaps": gap_report(prices)}
+    try:
+        vol, session_ids = _volatility(prices, cfg)
+    except ValueError as exc:  # constant prices, a sample outside the session, detrending
+        summary["errors"] = [{"instrument": prices.instrument_id, "q": None,
+                              "stage": "volatility", "error": str(exc)}]
+        _write_json(outdir / "summary.json", summary)
+        return summary
     if session_ids is not None:
         summary["detrended"] = True
 
@@ -392,9 +400,8 @@ def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path) -> dict
                                     drop_session_gaps=cfg.drop_session_gaps)
             seqs[q] = seq
             for stage, tables in STAGES.values():
-                for t in tables(seq, vol, cfg):
-                    path = outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv"
-                    _write_tsv(path, t.header, t.columns, t.comment)
+                for t in tables(seq, cfg):
+                    _write_tsv(outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv", t.header, t.columns)
         except ValueError as exc:  # InsufficientEvents/PairsError included
             errors[q] = {"instrument": prices.instrument_id, "q": q,
                          "stage": stage, "error": str(exc)}

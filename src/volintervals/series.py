@@ -8,6 +8,7 @@ cross-session mean volatility of its time-of-day slot.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,18 +116,28 @@ class IntradayPattern:
 
 @dataclass(frozen=True)
 class SessionCalendar:
-    """Trading session open/close, "HH:MM" wall-clock strings."""
+    """Trading session [open, close), "HH:MM" wall-clock strings."""
 
     open_time: str = "09:00"
     close_time: str = "15:00"
 
+    def __post_init__(self):
+        if self.open_minute() >= self.close_minute():
+            raise ValueError(f"session_open {self.open_time} is not before "
+                             f"session_close {self.close_time}")
+
     def open_minute(self) -> int:
-        h, m = self.open_time.split(":")
-        return int(h) * 60 + int(m)
+        return _hhmm_minute(self.open_time, "session_open")
 
     def close_minute(self) -> int:
-        h, m = self.close_time.split(":")
-        return int(h) * 60 + int(m)
+        return _hhmm_minute(self.close_time, "session_close")
+
+
+def _hhmm_minute(text: str, name: str) -> int:
+    m = re.fullmatch(r"([01]?[0-9]|2[0-3]):([0-5][0-9])", text)
+    if m is None:
+        raise ValueError(f"{name} must be HH:MM, got {text!r}")
+    return int(m[1]) * 60 + int(m[2])
 
 
 def log_returns(prices: PriceSeries) -> ReturnSeries:
@@ -151,19 +162,20 @@ def normalize_volatility(returns: ReturnSeries) -> VolatilitySeries:
 def session_slots(timestamps, calendar: SessionCalendar, sampling_interval) -> tuple[np.ndarray, np.ndarray]:
     """Map timestamps to (slot, session_id) arrays.
 
-    Slot is the number of sampling intervals elapsed since session open;
-    session id is the calendar day. Samples before the session open are
-    rejected.
+    Slot is the number of whole sampling intervals elapsed since session
+    open; session id is the calendar day. The session is [open, close):
+    samples before the open or at or after the close are rejected.
     """
-    ts = np.asarray(timestamps)
+    ts = np.asarray(timestamps).astype("datetime64[s]")
     days = ts.astype("datetime64[D]")
-    minute_of_day = (ts - days).astype("timedelta64[m]").astype(np.int64)
-    step_min = max(int(np.timedelta64(sampling_interval, "m").astype(np.int64)), 1)
-    slots = (minute_of_day - calendar.open_minute()) // step_min
-    if np.any(slots < 0):
-        i = int(np.flatnonzero(slots < 0)[0])
-        raise ValueError(f"sample at index {i} falls before session open {calendar.open_time}")
-    return slots.astype(np.int64), days.astype(np.int64)
+    secs = (ts - days).astype(np.int64) - 60 * calendar.open_minute()  # since the open
+    length = 60 * (calendar.close_minute() - calendar.open_minute())
+    for outside, where in ((secs < 0, f"before session open {calendar.open_time}"),
+                           (secs >= length, f"at or after session close {calendar.close_time}")):
+        if np.any(outside):
+            raise ValueError(f"sample at index {int(np.flatnonzero(outside)[0])} falls {where}")
+    step = max(int(np.timedelta64(sampling_interval, "s").astype(np.int64)), 1)
+    return secs // step, days.astype(np.int64)
 
 
 def build_intraday_pattern(vol: VolatilitySeries, slots, session_ids) -> IntradayPattern:

@@ -14,7 +14,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from volintervals import PriceSeries, write_csv
 from volintervals.cli import main
+from volintervals.synthetic import correlated_gaussian
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
 # q=3 has too few intervals for 8 conditional subsets on the whole series
@@ -25,6 +29,35 @@ RUNS = {
     "linear_split": [*QS, "--ensemble", "20", "--linear-bins", "--subsets", "2",
                      "--split-date", "1995-01-01"],
 }
+# intraday detrending on session slots, with session-gap intervals dropped
+SESSION_CONFIG = """q = 1,1.5,2
+ensemble = 20
+session_open = 09:00
+session_close = 15:00
+drop_session_gaps = true
+split_date = 2001-03-19
+"""
+
+
+def write_intraday_csv(path: Path) -> None:
+    """One-minute bars 09:00-14:59 on the 20 weekdays of 2001-03-05..2001-03-30."""
+    days = np.arange("2001-03-05", "2001-03-31", dtype="datetime64[D]")
+    days = days[np.is_busday(days)]
+    ts = (days.astype("datetime64[s]")[:, None] + np.timedelta64(9 * 3600, "s")
+          + np.arange(360) * np.timedelta64(60, "s")).ravel()
+    logp = np.cumsum(1e-4 * correlated_gaussian(ts.size, 0.3, seed=5))
+    write_csv(PriceSeries("intraday", ts, 100.0 * np.exp(logp - logp[0]),
+                          np.timedelta64(60, "s")), path)
+
+
+def _digest(f: Path) -> str:
+    return hashlib.sha256(f.read_bytes()).hexdigest()
+
+
+def _add_tree(digests: dict, name: str, out: Path) -> None:
+    for f in sorted(out.rglob("*")):
+        if f.is_file():
+            digests[f"{name}/{f.relative_to(out).as_posix()}"] = _digest(f)
 
 
 def golden_tree(tmp: Path) -> dict[str, str]:
@@ -32,14 +65,17 @@ def golden_tree(tmp: Path) -> dict[str, str]:
     csv = tmp / "inst.csv"
     assert main(["synth", "--kind", "correlated", "--length", str(2**13), "--seed", "3",
                  "--out", str(csv)]) == 0
-    digests = {"inst.csv": hashlib.sha256(csv.read_bytes()).hexdigest()}
+    digests = {"inst.csv": _digest(csv)}
     for name, flags in RUNS.items():
         out = tmp / name
         assert main(["analyze", str(csv), *flags, "--out", str(out)]) == 1  # q=6 fails
-        for f in sorted(out.rglob("*")):
-            if f.is_file():
-                digests[f"{name}/{f.relative_to(out).as_posix()}"] = \
-                    hashlib.sha256(f.read_bytes()).hexdigest()
+        _add_tree(digests, name, out)
+    intraday, config = tmp / "intraday.csv", tmp / "session.cfg"
+    write_intraday_csv(intraday)
+    config.write_text(f"input = {intraday}\nout = {tmp / 'session'}\n{SESSION_CONFIG}")
+    digests["intraday.csv"] = _digest(intraday)
+    assert main(["analyze", "--config", str(config)]) == 0
+    _add_tree(digests, "session", tmp / "session")
     return digests
 
 

@@ -5,8 +5,10 @@ from scipy import stats
 from volintervals import (
     IntervalSequence,
     conditional_mean_curve,
-    conditional_pdf,
+    conditional_pdfs,
     extract_intervals,
+    pdf_estimate,
+    scale_pdf,
     shuffle_intervals,
 )
 from volintervals.memory import InsufficientPairsError, conditional_blocks
@@ -19,10 +21,11 @@ def make_seq(intervals, q=1.0):
 
 def test_one_value_per_subset():
     seq = make_seq([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
-    cp = conditional_pdf(seq, n_subsets=8, k=1, mode="linear", n_bins=2)
-    assert cp.subset_range == (1.0, 2.0)
+    cond, succ = conditional_blocks(seq, n_subsets=8)
+    assert (cond[0].min(), cond[0].max()) == (1, 2)
     # successors of the two smallest predecessors
-    assert sorted(cp.sample.tolist()) == [2, 3]
+    assert sorted(succ[0].tolist()) == [2, 3]
+    assert len(conditional_pdfs(seq, n_subsets=8, mode="linear", n_bins=2)) == 8
 
 
 def test_periodic_alternation():
@@ -128,10 +131,24 @@ def test_shuffled_conditional_matches_unconditional():
 
 def test_conditional_pdf_scaled_with_full_sequence_mean(correlated_vol):
     seq = extract_intervals(correlated_vol, 1.5)
-    cp = conditional_pdf(seq, n_subsets=8, k=8)
-    assert cp.q == 1.5
-    assert cp.subset_index == 8
-    assert np.all(cp.scaled.x >= 0)
-    assert np.all(cp.scaled.y >= 0)
+    pdfs = conditional_pdfs(seq, n_subsets=8)
+    assert len(pdfs) == 8
+    assert all(p.q == 1.5 for p in pdfs)
+    assert np.all(pdfs[7].x >= 0)
+    assert np.all(pdfs[7].y >= 0)
     # the largest-predecessor octile skews toward long successors
-    assert cp.sample.mean() > seq.mean_interval
+    assert conditional_blocks(seq, 8)[1][7].mean() > seq.mean_interval
+
+
+@pytest.mark.parametrize("mode, n_bins", [("logarithmic", 20), ("linear", 7)])
+def test_conditional_pdfs_match_per_block_oracle(correlated_vol, mode, n_bins):
+    seq = extract_intervals(correlated_vol, 2.0)
+    _, succ = conditional_blocks(seq, 5)
+    got = conditional_pdfs(seq, n_subsets=5, mode=mode, n_bins=n_bins)
+    assert len(got) == len(succ)
+    for block, scaled in zip(succ, got):
+        want = scale_pdf(pdf_estimate(block, mode=mode, n_bins=n_bins), seq.mean_interval,
+                         q=seq.threshold_q)
+        assert np.array_equal(scaled.x, want.x)
+        assert np.array_equal(scaled.y, want.y)
+        assert scaled.q == want.q == 2.0

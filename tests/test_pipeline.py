@@ -20,10 +20,12 @@ from volintervals import (
     split_by_date,
     write_csv,
 )
+import volintervals.memory
 from volintervals.cli import main
 from volintervals.pipeline import (
     ConfigError,
     IngestError,
+    _analyze_one,
     _surrogate_envelopes,
     _write_json,
     load_config,
@@ -140,6 +142,9 @@ INVALID_CONFIGS = {
     "open_without_close": ({"session_open": "09:00"}, "session_close"),
     "close_without_open": ({"session_close": "15:00"}, "session_open"),
     "gaps_without_session": ({"drop_session_gaps": True}, "drop_session_gaps"),
+    "open_not_hhmm": ({"session_open": "9am", "session_close": "15:00"}, "session_open"),
+    "close_not_hhmm": ({"session_open": "09:00", "session_close": "25:00"}, "session_close"),
+    "open_after_close": ({"session_open": "15:00", "session_close": "09:00"}, "session_open"),
 }
 
 
@@ -244,6 +249,47 @@ class TestRunPipeline:
         assert report["exit_code"] == 1
         assert any(e["q"] == 50.0 and e["stage"] == "extract" for e in report["errors"])
         assert (tmp_path / "out" / "inst" / "q1" / "intervals.tsv").exists()
+
+
+    def test_repeated_thresholds_run_once(self, tmp_path):
+        csv = synth_csv(tmp_path / "inst.csv", length=2000, kind="iid", seed=4)
+        out = tmp_path / "out"
+        assert main(["analyze", str(csv), "--q", "1", "--q", "1", "--q", "50", "--q", "50",
+                     "--ensemble", "2", "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert [(e["q"], e["stage"]) for e in report["errors"]] == [(50.0, "extract")]
+        assert list(report["instruments"][0]["per_q"]) == ["1"]
+        cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[2.0, 1.0, 2.0, 1.0])
+        assert cfg.thresholds == [1.0, 2.0]
+
+    def test_failed_volatility_does_not_stop_other_inputs(self, tmp_path):
+        good = synth_csv(tmp_path / "good.csv", length=2000, kind="iid", seed=8)
+        flat = tmp_path / "flat.csv"
+        flat.write_text("timestamp,price\n" + "".join(
+            f"2000-01-{d:02d}T00:00:00,100\n" for d in range(3, 13)))
+        out = tmp_path / "out"
+        assert main(["analyze", str(good), str(flat), "--q", "1", "--ensemble", "2",
+                     "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        error = {"instrument": "flat", "q": None, "stage": "volatility",
+                 "error": "return series has zero standard deviation"}
+        assert report["errors"] == [error]
+        assert [s["instrument"] for s in report["instruments"]] == ["good", "flat"]
+        summary = json.loads((out / "flat" / "summary.json").read_text())
+        assert summary["per_q"] == {} and summary["errors"] == [error]
+        assert (out / "good" / "q1" / "cluster_surrogate.tsv").exists()
+
+    def test_conditional_blocks_sorted_once_per_statistic(self, tmp_path, monkeypatch):
+        # conditional PDFs, conditional mean, shuffled conditional mean
+        calls = []
+        blocks = volintervals.memory.conditional_blocks
+        monkeypatch.setattr(volintervals.memory, "conditional_blocks",
+                            lambda seq, n: calls.append(seq.threshold_q) or blocks(seq, n))
+        prices = ingest_csv(synth_csv(tmp_path / "inst.csv", length=20000, seed=1))
+        cfg = AnalysisConfig(inputs=["inst.csv"], thresholds=[1.0, 2.0], ensemble=2)
+        summary = _analyze_one(prices, cfg, tmp_path / "out")
+        assert summary["errors"] == []
+        assert calls == [1.0] * 3 + [2.0] * 3
 
 
 def per_threshold_envelope(vol, q, cfg):

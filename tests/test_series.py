@@ -156,6 +156,49 @@ def test_session_slots():
     assert sessions[0] == sessions[1] != sessions[2]
 
 
+def bars(start, n, step_s=60):
+    return np.datetime64(start, "s") + np.arange(n) * np.timedelta64(step_s, "s")
+
+
+def test_session_slots_sub_minute_step():
+    # 200 one-second samples from the open are 200 slots, not 4 whole minutes
+    cal = SessionCalendar("09:00", "15:00")
+    slots, _ = session_slots(bars("2000-01-03T09:00", 200, 1), cal, np.timedelta64(1, "s"))
+    assert slots.tolist() == list(range(200))
+
+
+@pytest.mark.parametrize("step_min", [1, 2, 5])
+def test_session_slots_whole_minute_steps_ignore_seconds(step_min):
+    # floor((60a + s) / 60k) == floor(a / k) for 0 <= s < 60
+    cal = SessionCalendar("09:30", "15:00")
+    ts = bars("2000-01-03T09:30", 300) + np.arange(300) % 60
+    slots, _ = session_slots(ts, cal, np.timedelta64(60 * step_min, "s"))
+    assert slots.tolist() == [a // step_min for a in range(300)]
+
+
+def test_session_is_half_open():
+    cal, step = SessionCalendar("09:00", "15:00"), np.timedelta64(60, "s")
+    slots, _ = session_slots(bars("2000-01-03T09:00", 360), cal, step)
+    assert slots.max() == 359
+    with pytest.raises(ValueError, match="index 360 .*close 15:00"):
+        session_slots(bars("2000-01-03T09:00", 361), cal, step)
+    with pytest.raises(ValueError, match="index 0 .*open 09:00"):
+        session_slots(bars("2000-01-03T08:59", 3), cal, step)
+
+
+@pytest.mark.parametrize("open_time, close_time, message", [
+    ("9am", "15:00", "session_open must be HH:MM"),
+    ("09:00", "25:00", "session_close must be HH:MM"),
+    ("09:60", "15:00", "session_open must be HH:MM"),
+    ("0900", "15:00", "session_open must be HH:MM"),
+    ("15:00", "09:00", "session_open 15:00 is not before session_close 09:00"),
+    ("09:00", "09:00", "session_open 09:00 is not before"),
+])
+def test_session_calendar_rejects_bad_bounds(open_time, close_time, message):
+    with pytest.raises(ValueError, match=message):
+        SessionCalendar(open_time, close_time)
+
+
 def test_gap_report():
     ts = np.array(["2000-01-03", "2000-01-04", "2000-01-07"], dtype="datetime64[s]")
     p = PriceSeries("g", ts, np.array([1.0, 2.0, 3.0]), np.timedelta64(1, "D"))
