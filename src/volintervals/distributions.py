@@ -5,16 +5,18 @@ scaled curves for different thresholds coincide, the interval
 distribution is a single shape rescaled by its mean. Collapse quality is
 measured by two-sample Kolmogorov-Smirnov distances on the raw scaled
 samples (never on bins); deviation from the memoryless baseline is the
-KS distance to the unit-mean exponential.
+KS distance to the unit-mean exponential. Both are plain statistics
+computed from sorted samples; no p-value is computed.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .intervals import IntervalSequence
 
@@ -115,30 +117,67 @@ def continuity_corrected_sample(seq, rng) -> np.ndarray:
     return x / x.mean()
 
 
+def _sorted_sample(x: np.ndarray, what: str) -> np.ndarray:
+    if x.size == 0:
+        raise ValueError(f"{what} is empty")
+    return np.sort(x)
+
+
+# A two-sample KS distance is a multiple of 1/lcm(n1, n2). When neither
+# sample exceeds this size the distance is rounded to that lattice, which
+# removes the float error of the ECDF difference; larger samples keep the
+# difference as computed. Both rules are those of scipy.stats.ks_2samp's
+# statistic, so collapse_matrix.json does not change with the implementation.
+_KS_LATTICE_MAX_N = 10_000
+
+
+def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """sup |F_a - F_b| of two sorted, non-empty samples."""
+    na, nb = a.size, b.size
+    both = np.concatenate([a, b])
+    diff = np.searchsorted(a, both, side="right") / na - np.searchsorted(b, both, side="right") / nb
+    d = float(np.abs(diff).max())
+    if max(na, nb) <= _KS_LATTICE_MAX_N:
+        lcm = na // math.gcd(na, nb) * nb
+        d = round(d * lcm) / lcm
+    return d
+
+
 def collapse_distance(sequences, jitter_seed: int | None = None) -> np.ndarray:
     """Pairwise two-sample KS distances between scaled interval samples.
 
-    Accepts IntervalSequence objects or pre-scaled arrays. Symmetric,
-    zero diagonal. With jitter_seed set, samples are continuity
-    corrected first (deterministic per seed); use this when comparing
-    sequences whose means, and hence scaled integer lattices, differ.
+    Accepts IntervalSequence objects or pre-scaled arrays; symmetric, zero
+    diagonal. Each sample is sorted once. With jitter_seed set, samples are
+    continuity corrected first (deterministic per seed); use this when
+    comparing sequences whose means, and hence scaled integer lattices,
+    differ. The correction jitters integer intervals, so it needs
+    IntervalSequence inputs.
     """
     if len(sequences) < 2:
         raise ValueError("need at least 2 sequences")
     if jitter_seed is not None:
+        if not all(isinstance(s, IntervalSequence) for s in sequences):
+            raise ValueError("jitter_seed needs IntervalSequence inputs: the continuity "
+                             "correction jitters integer intervals, not pre-scaled arrays")
         rng = np.random.default_rng(jitter_seed)
         scaled = [continuity_corrected_sample(s, rng) for s in sequences]
     else:
         scaled = [_scaled_sample(s) for s in sequences]
-    n = len(scaled)
+    samples = [_sorted_sample(x, f"sample {i}") for i, x in enumerate(scaled)]
+    n = len(samples)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d[i, j] = d[j, i] = stats.ks_2samp(scaled[i], scaled[j]).statistic
+            d[i, j] = d[j, i] = _ks_distance(samples[i], samples[j])
     return d
 
 
 def poisson_deviation(seq) -> float:
     """KS distance of the scaled intervals from the unit-mean exponential."""
-    x = _scaled_sample(seq)
-    return float(stats.kstest(x, stats.expon.cdf).statistic)
+    x = _sorted_sample(_scaled_sample(seq), "sample")
+    n = x.size
+    # exponential CDF; scipy's expm1, whose last bit np.expm1 does not always match
+    cdf = -special.expm1(-np.maximum(x, 0.0))
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    return float(max(d_plus, d_minus))

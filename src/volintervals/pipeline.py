@@ -8,9 +8,11 @@ base seed, so a fixed config reproduces byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -132,50 +134,90 @@ def load_config(path) -> AnalysisConfig:
     return AnalysisConfig(**kw)
 
 
+def _blank(row) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _first_non_utf8_line(path: Path) -> int:
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len(re.findall(rb"\r\n?|\n", data[:exc.start])) + 1
+    return 1
+
+
+def _data_row_line(path: Path, k: int) -> int:
+    """File line of the k-th (0-based) data row, for errors found after the read."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # header
+        rows = (reader.line_num for row in reader if not _blank(row))
+        return next(itertools.islice(rows, k, None))
+
+
 def ingest_csv(path) -> PriceSeries:
-    """Read a `timestamp,price` CSV into a PriceSeries.
+    """Read a UTF-8 `timestamp,price` CSV into a PriceSeries.
 
     Unsorted rows are sorted with a warning; duplicate timestamps are a
-    hard error. The sampling interval is the median timestamp step.
+    hard error. The sampling interval is the median timestamp step. Bad
+    content raises an IngestError naming the file and the line (the last
+    line of a quoted record that spans several), except for a file with
+    fewer than 2 rows.
     """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"{path}: no such file")
     timestamps, prices = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
-            raise IngestError(f"{path}: expected header 'timestamp,price'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise IngestError(f"{path}: line {lineno}: expected 2 fields")
-            try:
-                ts = np.datetime64(row[0].strip())
-            except ValueError as exc:
-                raise IngestError(f"{path}: line {lineno}: bad timestamp {row[0]!r}") from exc
-            try:
-                price = float(row[1])
-            except ValueError as exc:
-                raise IngestError(f"{path}: line {lineno}: bad price {row[1]!r}") from exc
-            if not (math.isfinite(price) and price > 0):
-                raise IngestError(f"{path}: line {lineno}: price must be finite and positive, "
-                                  f"got {row[1]!r}")
-            timestamps.append(ts)
-            prices.append(price)
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
+                raise IngestError(f"{path}: line 1: expected header 'timestamp,price'")
+            for row in reader:
+                if _blank(row):
+                    continue
+                if len(row) < 2:
+                    raise IngestError(f"{path}: line {reader.line_num}: expected 2 fields")
+                try:
+                    ts = np.datetime64(row[0].strip())
+                except ValueError as exc:
+                    raise IngestError(f"{path}: line {reader.line_num}: "
+                                      f"bad timestamp {row[0]!r}") from exc
+                try:
+                    price = float(row[1])
+                except ValueError as exc:
+                    raise IngestError(f"{path}: line {reader.line_num}: bad price {row[1]!r}") from exc
+                if not (math.isfinite(price) and price > 0):
+                    raise IngestError(f"{path}: line {reader.line_num}: price must be finite and "
+                                      f"positive, got {row[1]!r}")
+                timestamps.append(ts)
+                prices.append(price)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: line {_first_non_utf8_line(path)}: not UTF-8 text") from exc
     if len(prices) < 2:
         raise IngestError(f"{path}: need at least 2 rows")
     ts = np.array(timestamps, dtype="datetime64[s]")
+    # NaT (an empty or 'NaT' field) and years that overflow or are not
+    # calendar years, such as Unix epoch seconds read as a year
+    years = ts.astype("datetime64[Y]").astype(np.int64) + 1970
+    bad = np.flatnonzero((years < 1) | (years > 9999))
+    if bad.size:
+        raise IngestError(f"{path}: line {_data_row_line(path, bad[0])}: bad timestamp "
+                          f"{timestamps[bad[0]]}, need a date in years 1-9999")
     p = np.array(prices)
     order = np.argsort(ts, kind="stable")
     if not np.array_equal(order, np.arange(ts.size)):
         warnings.warn(f"{path}: timestamps out of order; sorting")
         ts, p = ts[order], p[order]
     steps = np.diff(ts).astype(np.int64)  # seconds
-    if np.any(steps == 0):
-        raise IngestError(f"{path}: duplicate timestamp {ts[np.flatnonzero(steps == 0)[0]]}")
+    dup = np.flatnonzero(steps == 0)
+    if dup.size:
+        raise IngestError(f"{path}: line {_data_row_line(path, order[dup[0] + 1])}: "
+                          f"duplicate timestamp {ts[dup[0]]}")
     step = np.median(steps)
     return PriceSeries(
         instrument_id=path.stem,

@@ -62,7 +62,8 @@ class PriceSeries:
             raise ValueError(f"non-positive price at index {bad[0]}")
         if ts.shape != prices.shape:
             raise ValueError("timestamps and prices must have equal length")
-        if np.any(np.diff(ts).astype("timedelta64[ns]") <= np.timedelta64(0, "ns")):
+        # compared in the timestamps' own unit: nanoseconds overflow past 292 years
+        if np.any(np.diff(ts) <= np.timedelta64(0)):
             raise ValueError("timestamps must be strictly increasing")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "prices", prices)

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
+import volintervals
 from volintervals import (
     IntervalSequence,
     collapse_distance,
@@ -9,6 +18,7 @@ from volintervals import (
     poisson_deviation,
     scale_pdf,
 )
+from volintervals.distributions import continuity_corrected_sample
 
 
 def make_seq(intervals, q=1.0):
@@ -135,6 +145,99 @@ class TestCollapseDistance:
         with pytest.raises(ValueError):
             collapse_distance([make_seq([1, 2])])
 
+    def test_empty_sample_raises(self):
+        with pytest.raises(ValueError, match="sample 1 is empty"):
+            collapse_distance([np.array([1.0, 2.0]), np.array([])])
+
+    def test_jitter_seed_rejects_prescaled_arrays(self):
+        with pytest.raises(ValueError, match="jitter_seed needs IntervalSequence inputs"):
+            collapse_distance([np.array([0.5, 1.5]), np.array([1.0, 1.0])], jitter_seed=0)
+
+
+def ecdf_sup(a, b):
+    """sup |F_a - F_b| in exact fractions, rounded once to float.
+
+    For samples of at most 10,000 values collapse_distance rounds to the
+    1/lcm lattice, which gives the same correctly rounded value.
+    """
+    a, b = sorted(a), sorted(b)
+    def F(s, t):
+        return Fraction(sum(v <= t for v in s), len(s))
+    return float(max(abs(F(a, t) - F(b, t)) for t in a + b))
+
+
+samples = st.lists(
+    st.one_of(st.integers(1, 6).map(float), st.floats(0.01, 50.0)), min_size=1, max_size=25)
+
+
+@given(st.lists(samples, min_size=2, max_size=4))
+def test_collapse_matrix_is_the_ecdf_sup(xs):
+    d = collapse_distance([np.array(x) for x in xs])
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0)
+    assert np.all((d >= 0) & (d <= 1))
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            assert d[i, j] == ecdf_sup(xs[i], xs[j])
+
+
+# sizes on both sides of 10,000, where scipy switches from its exact to its
+# asymptotic p-value; the statistic must match on both paths
+SIZES = [(1, 1), (3, 7), (50, 17), (2999, 3000), (10_000, 40), (10_000, 10_000),
+         (10_001, 40), (9_000, 11_000), (12_000, 10_500)]
+
+
+class TestScipyOracle:
+    """The numpy statistics equal scipy.stats' to the last bit."""
+
+    @pytest.mark.parametrize("n1,n2", SIZES)
+    def test_collapse_distance_on_integer_intervals(self, n1, n2):
+        rng = np.random.default_rng(n1 + n2)
+        a, b = make_seq(rng.geometric(0.2, size=n1)), make_seq(rng.geometric(0.05, size=n2))
+        d = collapse_distance([a, b])
+        assert d[0, 1] == stats.ks_2samp(a.scaled(), b.scaled()).statistic
+
+    @pytest.mark.parametrize("n1,n2", SIZES)
+    def test_collapse_distance_on_continuous_samples(self, n1, n2):
+        rng = np.random.default_rng(n1 * n2)
+        a, b = rng.exponential(1.0, size=n1), rng.exponential(1.3, size=n2)
+        assert collapse_distance([a, b])[0, 1] == stats.ks_2samp(a, b).statistic
+
+    def test_collapse_distance_on_small_tied_samples(self):
+        # ties on two lattices put the ECDF difference off 1/lcm by rounding
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n1, n2 = rng.integers(1, 60, size=2)
+            a, b = rng.integers(1, 6, n1) / 2.0, rng.integers(1, 6, n2) / 3.0
+            assert collapse_distance([a, b])[0, 1] == stats.ks_2samp(a, b).statistic
+
+    def test_jitter_seed_path(self):
+        rng = np.random.default_rng(12)
+        seqs = [make_seq(rng.geometric(p, size=n))
+                for p, n in ((0.4, 4000), (0.04, 12_000), (0.1, 10_000))]
+        d = collapse_distance(seqs, jitter_seed=3)
+        jitter = np.random.default_rng(3)
+        corrected = [continuity_corrected_sample(s, jitter) for s in seqs]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert d[i, j] == d[j, i] == stats.ks_2samp(corrected[i], corrected[j]).statistic
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 3000, 10_000, 10_001, 12_000])
+    def test_poisson_deviation(self, n):
+        rng = np.random.default_rng(n)
+        seq, x = make_seq(rng.geometric(0.1, size=n)), rng.exponential(1.0, size=n)
+        assert poisson_deviation(seq) == stats.kstest(seq.scaled(), stats.expon.cdf).statistic
+        assert poisson_deviation(x) == stats.kstest(x, stats.expon.cdf).statistic
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = ("import sys, volintervals.cli; volintervals.cli.build_parser(); "
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(volintervals.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
+
 
 class TestPoissonDeviation:
     def test_exponential_sample_is_close(self):
@@ -146,6 +249,10 @@ class TestPoissonDeviation:
         # where the exponential CDF has already climbed to 1 - 1/e
         d = poisson_deviation(make_seq([4, 4, 4, 4]))
         assert d == pytest.approx(1 - np.exp(-1), abs=1e-9)
+
+    def test_empty_sample_raises(self):
+        with pytest.raises(ValueError, match="sample is empty"):
+            poisson_deviation([])
 
     def test_iid_intervals_near_exponential_at_high_threshold(self):
         rng = np.random.default_rng(8)

@@ -1,14 +1,19 @@
 import json
 import re
 import shutil
+import warnings
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from volintervals import (
     AnalysisConfig,
     InsufficientEventsError,
+    PriceSeries,
     VolatilitySeries,
     cluster_survival,
     clusters,
@@ -95,6 +100,45 @@ class TestIngest:
         assert [s["instrument"] for s in report["instruments"]] == ["good"]
         assert (out / "good" / "q1" / "cluster_surrogate.tsv").exists()
 
+    # file content -> the message it must raise
+    BAD_CONTENT = {
+        "header_names_line_1": (b"time,close\n2000-01-03,1\n", r"line 1: expected header"),
+        "multiline_record": (b'timestamp,price\n"2000-01-03\n",1\n2000-01-04,x\n',
+                             r"line 4: bad price 'x'"),
+        "empty_timestamp": (b"timestamp,price\n2000-01-03,1\n,2\n2000-01-05,3\n",
+                            r"line 3: bad timestamp NaT"),
+        "nat_timestamp": (b"timestamp,price\n2000-01-03,1\n2000-01-04,2\nNaT,3\n",
+                          r"line 4: bad timestamp NaT"),
+        "epoch_seconds_as_year": (b"timestamp,price\n946857600,1\n946944000,2\n",
+                                  r"line 2: bad timestamp 946857600, need a date in years 1-9999"),
+        "duplicate_names_line": (b"timestamp,price\n2000-01-04,1\n2000-01-03,2\n\n2000-01-04,3\n",
+                                 r"line 5: duplicate timestamp 2000-01-04"),
+        "field_over_csv_limit": (b"timestamp,price\n2000-01-03,1\n" + b"9" * 200_000 + b",2\n",
+                                 r"line 3: field larger than field limit"),
+        "not_utf8": (b"timestamp,price\n2000-01-03,1\n2000-01-04,2\n2000-01-05,\xe9\n",
+                     r"line 4: not UTF-8 text"),
+    }
+
+    @pytest.mark.filterwarnings("ignore:.*out of order")
+    @pytest.mark.parametrize("case", BAD_CONTENT)
+    def test_bad_content_is_an_ingest_error_naming_the_line(self, tmp_path, case):
+        content, message = self.BAD_CONTENT[case]
+        f = tmp_path / "x.csv"
+        f.write_bytes(content)
+        with pytest.raises(IngestError, match=rf"^{re.escape(str(f))}: {message}"):
+            ingest_csv(f)
+
+    def test_non_utf8_file_does_not_stop_other_inputs(self, tmp_path):
+        good = synth_csv(tmp_path / "good.csv", length=2000, kind="iid", seed=8)
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("timestamp,price\n2000-01-03,1\n2000-01-04,2 €\n".encode("cp1252"))
+        out = tmp_path / "out"
+        assert main(["analyze", str(good), str(latin1), "--q", "1", "--ensemble", "2",
+                     "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert [(e["instrument"], e["stage"]) for e in report["errors"]] == [(str(latin1), "ingest")]
+        assert [s["instrument"] for s in report["instruments"]] == ["good"]
+
     def test_emit_then_ingest_round_trip(self, tmp_path):
         f = synth_csv(tmp_path / "s.csv", length=500, kind="iid", seed=3)
         s1 = ingest_csv(f)
@@ -103,6 +147,47 @@ class TestIngest:
         s2 = ingest_csv(f2)
         assert np.array_equal(s1.prices, s2.prices)  # bit-exact
         assert np.array_equal(s1.timestamps, s2.timestamps)
+
+
+TIMESTAMPS = st.one_of(
+    st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1)).map(datetime.isoformat),
+    st.sampled_from(["", "NaT", "2000-01-01", "2000-01-01T00:00:00.5", "2000-13-01",
+                     "123456789", "-0001-01-01", "2000-01-01T00:00Z", '"2000-01-01'])
+    | st.text("0123456789-T:. Z", max_size=20),
+    st.text(max_size=10),
+)
+PRICES = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "0", "-1", "1e400", "nan", "1_0", " 2 "]),
+    st.text(max_size=6),
+)
+ROWS = st.one_of(
+    st.tuples(TIMESTAMPS, PRICES).map(",".join),
+    st.lists(st.text(max_size=8), max_size=4).map(",".join),
+    st.text(max_size=20),
+)
+
+
+@given(header=st.sampled_from(["timestamp,price", "Timestamp , PRICE,volume", "time,price", ""]),
+       rows=st.lists(ROWS, max_size=8), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_any_csv_text_is_a_series_or_an_ingest_error_naming_the_line(
+        tmp_path_factory, header, rows, newline):
+    text = newline.join([header, *rows])
+    f = tmp_path_factory.mktemp("ingest") / "p.csv"
+    f.write_bytes(text.encode("utf-8"))
+    n_lines = len(re.split(r"\r\n|\r|\n", text))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            series = ingest_csv(f)
+    except IngestError as exc:
+        m = re.match(rf"{re.escape(str(f))}: (line (\d+): |need at least 2 rows$)", str(exc))
+        assert m, str(exc)
+        assert m[2] is None or 1 <= int(m[2]) <= n_lines, str(exc)
+    else:
+        assert isinstance(series, PriceSeries)
+        assert not np.any(np.isnat(series.timestamps))
+        assert series.sampling_interval > np.timedelta64(0, "s")
 
 
 class TestSplitByDate:

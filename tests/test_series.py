@@ -203,3 +203,11 @@ def test_gap_report():
     ts = np.array(["2000-01-03", "2000-01-04", "2000-01-07"], dtype="datetime64[s]")
     p = PriceSeries("g", ts, np.array([1.0, 2.0, 3.0]), np.timedelta64(1, "D"))
     assert gap_report(p) == [1]
+
+
+def test_price_series_spanning_centuries():
+    # the order check used to cast to nanoseconds, which overflows past 292 years
+    ts = np.array(["1700-01-01", "2000-01-01"], dtype="datetime64[s]")
+    assert len(PriceSeries("c", ts, np.array([1.0, 2.0]), np.timedelta64(1, "D"))) == 2
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PriceSeries("c", ts[::-1], np.array([1.0, 2.0]), np.timedelta64(1, "D"))
