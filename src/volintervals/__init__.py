@@ -15,12 +15,7 @@ from .distributions import (
     poisson_deviation,
     scale_pdf,
 )
-from .intervals import (
-    IntervalSequence,
-    InsufficientEventsError,
-    extract_intervals,
-    pool_scaled_intervals,
-)
+from .intervals import IntervalSequence, InsufficientEventsError, extract_intervals
 from .memory import (
     ConditionalMeanCurve,
     conditional_mean_curve,

@@ -17,7 +17,6 @@ __all__ = [
     "IntervalSequence",
     "InsufficientEventsError",
     "extract_intervals",
-    "pool_scaled_intervals",
 ]
 
 
@@ -82,11 +81,3 @@ def extract_intervals(vol, q: float, session_ids=None, drop_session_gaps: bool =
         intervals = intervals[keep]
     return IntervalSequence(threshold_q=float(q), intervals=intervals, source_length=int(g.size))
 
-
-def pool_scaled_intervals(seqs) -> np.ndarray:
-    """Pool several sequences after scaling each by its own mean.
-
-    Used for multi-instrument mixtures, where raw intervals have
-    incompatible means.
-    """
-    return np.concatenate([s.scaled() for s in seqs])

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -156,14 +157,31 @@ def _data_row_line(path: Path, k: int) -> int:
         return next(itertools.islice(rows, k, None))
 
 
+def _clock_defect(text: str) -> str | None:
+    """Why a timestamp is not whole seconds of wall-clock time, if it is not.
+
+    numpy would convert an offset to UTC with only a warning, and the
+    timestamps are stored in whole seconds; numpy also overflows on more
+    than 9 digits of fraction, zeros included.
+    """
+    clock = text.partition("T")[2] or text.partition(" ")[2]
+    if "+" in clock or "-" in clock or "Z" in clock or "z" in clock:
+        return "UTC offsets are not supported, give local wall-clock time"
+    fraction = clock.rpartition(".")[2] if "." in clock else ""
+    if fraction.isdigit() and (fraction.strip("0") or len(fraction) > 9):
+        return "fractions of a second are not supported"
+    return None
+
+
 def ingest_csv(path) -> PriceSeries:
     """Read a UTF-8 `timestamp,price` CSV into a PriceSeries.
 
-    Unsorted rows are sorted with a warning; duplicate timestamps are a
-    hard error. The sampling interval is the median timestamp step. Bad
-    content raises an IngestError naming the file and the line (the last
-    line of a quoted record that spans several), except for a file with
-    fewer than 2 rows.
+    Timestamps are wall-clock times in whole seconds: a UTC offset or a
+    non-zero fraction of a second is an error. Unsorted rows are sorted
+    with a warning; duplicate timestamps are a hard error. The sampling
+    interval is the median timestamp step. Bad content raises an
+    IngestError naming the file and the line (the last line of a quoted
+    record that spans several), except for a file with fewer than 2 rows.
     """
     path = Path(path)
     if not path.is_file():
@@ -176,12 +194,19 @@ def ingest_csv(path) -> PriceSeries:
             if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
                 raise IngestError(f"{path}: line 1: expected header 'timestamp,price'")
             for row in reader:
-                if _blank(row):
-                    continue
                 if len(row) < 2:
+                    if _blank(row):
+                        continue
                     raise IngestError(f"{path}: line {reader.line_num}: expected 2 fields")
+                text = row[0].strip()
+                # rarely true, so the exact check stays off the common path; the
+                # sign of an offset follows at least the 10 characters of Y-MM-DDTHH
+                if "+" in text or "Z" in text or "z" in text or "." in text or "-" in text[10:]:
+                    if defect := _clock_defect(text):
+                        raise IngestError(f"{path}: line {reader.line_num}: "
+                                          f"bad timestamp {row[0]!r}: {defect}")
                 try:
-                    ts = np.datetime64(row[0].strip())
+                    ts = np.datetime64(text)
                 except ValueError as exc:
                     raise IngestError(f"{path}: line {reader.line_num}: "
                                       f"bad timestamp {row[0]!r}") from exc
@@ -278,10 +303,11 @@ def _fmt(v) -> str:
 
 
 def _write_tsv(path, header, columns, comment: str | None = None) -> None:
-    # numeric columns come as arrays and print as %.10g, formatted lazily so
-    # only one row of strings is alive at a time; other columns are strings
-    cells = [map("%.10g".__mod__, c.tolist()) if isinstance(c, np.ndarray) else c
-             for c in columns]
+    # numeric columns come as arrays, formatted lazily so only one row of
+    # strings is alive at a time: floats as %.10g, integers with str (the
+    # same digits below 10^10, at half the cost); other columns are strings
+    cells = [map(str if c.dtype.kind in "iu" else "%.10g".__mod__, c.tolist())
+             if isinstance(c, np.ndarray) else c for c in columns]
     with _atomic(path) as fh:
         if comment:
             fh.write(f"# {comment}\n")
@@ -355,34 +381,61 @@ STAGES = {
 }
 
 
-def _surrogate_envelopes(vol, qs, cfg) -> dict:
+def _surrogate_envelopes(vol, qs, cfg, pool=None) -> dict:
     """Mean +/- 3 sigma survival of above-median runs over shuffled volatility.
 
     One permutation per seed serves every q: in ascending order, each q's
     events are the previous q's that exceed it, and a permutation keeps
-    their number. Maps q to (rows, seeds used) or to the ValueError that
-    stopped it.
+    their number. Maps q to (rows, seeds used) or to the ValueError of its
+    lowest failing seed.
+
+    With a pool, up to cfg.max_workers - 1 helper tasks take seeds from the
+    same counter as the calling thread; each seed fills only its own row,
+    so the result does not depend on how the seeds were shared out. The
+    caller never waits on a helper that has not started, so a pool whose
+    threads are all running units cannot deadlock.
     """
     out: dict = {q: InsufficientEventsError(q, n) for q in qs
                  if (n := int(np.count_nonzero(vol.values > q))) < 2}
-    surv = {q: np.zeros((cfg.ensemble, _SURROGATE_KMAX)) for q in sorted(qs) if q not in out}
-    for i in range(cfg.ensemble):
-        if not surv:
-            break
-        g, ev = shuffle_volatility(vol, cfg.seed + i).values, None
-        for q in list(surv):
-            ev = np.flatnonzero(g > q) if ev is None else ev[g[ev] > q]
-            iv = np.diff(ev)
-            try:
-                s = cluster_survival(clusters(iv > np.median(iv)), side="above")
-            except ValueError as exc:  # no interval above the median
-                out[q] = exc
-                del surv[q]
-                continue
-            surv[q][i, :min(s.shape[0], _SURROGATE_KMAX)] = s[:_SURROGATE_KMAX, 1]
-    for q, sv in surv.items():
-        mean = sv.mean(axis=0)
-        sd = sv.std(axis=0, ddof=1) if cfg.ensemble > 1 else np.zeros(_SURROGATE_KMAX)
+    live = [q for q in sorted(qs) if q not in out]
+    surv = {q: np.zeros((cfg.ensemble, _SURROGATE_KMAX)) for q in live}
+    failed: dict = {}  # q -> (lowest failing seed index found so far, its error)
+    seeds, lock = iter(range(cfg.ensemble)), threading.Lock()
+
+    def run_seeds():
+        while True:
+            with lock:
+                i = next(seeds, None)
+            if i is None:
+                return
+            todo = [q for q in live if q not in failed or failed[q][0] > i]
+            if not todo:  # every q already failed on a lower seed
+                return
+            g, ev = shuffle_volatility(vol, cfg.seed + i).values, None
+            for q in todo:
+                ev = np.flatnonzero(g > q) if ev is None else ev[g[ev] > q]
+                iv = np.diff(ev)
+                try:
+                    s = cluster_survival(clusters(iv > np.median(iv)), side="above")
+                except ValueError as exc:  # no interval above the median
+                    with lock:
+                        if q not in failed or failed[q][0] > i:
+                            failed[q] = (i, exc)
+                    continue
+                surv[q][i, :min(s.shape[0], _SURROGATE_KMAX)] = s[:_SURROGATE_KMAX, 1]
+
+    n_helpers = min(cfg.max_workers, cfg.ensemble) - 1 if pool is not None else 0
+    helpers = [pool.submit(run_seeds) for _ in range(n_helpers)]
+    run_seeds()
+    for helper in helpers:
+        if not helper.cancel():  # started: it returns once the seeds run out
+            helper.result()
+    for q in live:
+        if q in failed:
+            out[q] = failed[q][1]
+            continue
+        mean = surv[q].mean(axis=0)
+        sd = surv[q].std(axis=0, ddof=1) if cfg.ensemble > 1 else np.zeros(_SURROGATE_KMAX)
         out[q] = (np.column_stack([np.arange(1, _SURROGATE_KMAX + 1), mean,
                                    mean - 3 * sd, mean + 3 * sd]), cfg.ensemble)
     return out
@@ -421,7 +474,7 @@ def run_stage(cfg: AnalysisConfig, name: str, out: Path) -> Iterator:
         yield seq
 
 
-def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path) -> dict:
+def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path, pool=None) -> dict:
     summary: dict = {"instrument": prices.instrument_id, "n_samples": len(prices), "per_q": {},
                      "gaps": gap_report(prices)}
     try:
@@ -447,7 +500,8 @@ def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path) -> dict
         except ValueError as exc:  # InsufficientEvents/PairsError included
             errors[q] = {"instrument": prices.instrument_id, "q": q,
                          "stage": stage, "error": str(exc)}
-    for q, env in _surrogate_envelopes(vol, [q for q in seqs if q not in errors], cfg).items():
+    for q, env in _surrogate_envelopes(vol, [q for q in seqs if q not in errors], cfg,
+                                       pool).items():
         if isinstance(env, ValueError):
             errors[q] = {"instrument": prices.instrument_id, "q": q,
                          "stage": "surrogate", "error": str(env)}
@@ -464,6 +518,13 @@ def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path) -> dict
     summary["errors"] = [errors[q] for q in cfg.thresholds if q in errors]
     _write_json(outdir / "summary.json", summary)
     return summary
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 def run_pipeline(cfg: AnalysisConfig) -> dict:
@@ -496,8 +557,9 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
             units.append((series, out / series.instrument_id))
 
     if units:
-        with ThreadPoolExecutor(max_workers=min(cfg.max_workers, len(units))) as ex:
-            for summary in ex.map(lambda unit: _analyze_one(unit[0], cfg, unit[1]), units):
+        # units and their surrogate seeds share the pool
+        with ThreadPoolExecutor(max_workers=min(cfg.max_workers, _usable_cpus())) as ex:
+            for summary in ex.map(lambda unit: _analyze_one(unit[0], cfg, unit[1], ex), units):
                 report["instruments"].append(summary)
                 report["errors"].extend(summary["errors"])
     report["exit_code"] = 0 if not report["errors"] else 1

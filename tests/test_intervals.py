@@ -4,12 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from volintervals import (
-    InsufficientEventsError,
-    VolatilitySeries,
-    extract_intervals,
-    pool_scaled_intervals,
-)
+from volintervals import InsufficientEventsError, VolatilitySeries, extract_intervals
 
 
 def geometric_cdf_ks(intervals, p):
@@ -105,13 +100,6 @@ def test_drop_session_gaps():
     kept = extract_intervals(VolatilitySeries(g), 1.0, session_ids=sessions,
                              drop_session_gaps=True)
     assert kept.intervals.tolist() == [1]
-
-
-def test_pool_scaled_intervals():
-    a = extract_intervals(VolatilitySeries(np.array([2.0, 0, 0, 2, 0, 2])), 1.0)
-    pooled = pool_scaled_intervals([a, a])
-    assert pooled.shape == (4,)
-    assert pooled.mean() == pytest.approx(1.0)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=3), min_size=20, max_size=60),

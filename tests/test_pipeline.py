@@ -1,7 +1,11 @@
 import json
 import re
 import shutil
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime
 from pathlib import Path
 
@@ -26,6 +30,7 @@ from volintervals import (
     write_csv,
 )
 import volintervals.memory
+import volintervals.pipeline
 from volintervals.cli import main
 from volintervals.pipeline import (
     ConfigError,
@@ -36,6 +41,8 @@ from volintervals.pipeline import (
     load_config,
 )
 from volintervals.synthetic import correlated_gaussian
+
+from test_golden import SESSION_CONFIG, write_intraday_csv
 
 
 def synth_csv(path, length=20000, kind="correlated", seed=0):
@@ -117,6 +124,19 @@ class TestIngest:
                                  r"line 3: field larger than field limit"),
         "not_utf8": (b"timestamp,price\n2000-01-03,1\n2000-01-04,2\n2000-01-05,\xe9\n",
                      r"line 4: not UTF-8 text"),
+        "utc_offset_east": (b"timestamp,price\n2020-01-01T09:00+09:00,1\n2020-01-01T09:01+09:00,2\n",
+                            r"line 2: bad timestamp '2020-01-01T09:00\+09:00': UTC offsets"),
+        "utc_offset_west": (b"timestamp,price\n2020-01-01 09:00,1\n2020-01-01 09:01-05:00,2\n",
+                            r"line 3: bad timestamp '2020-01-01 09:01-05:00': UTC offsets"),
+        "utc_offset_z": (b"timestamp,price\n2020-01-01T00:00:00Z,1\n2020-01-02T00:00:00Z,2\n",
+                         r"line 2: bad timestamp '2020-01-01T00:00:00Z': UTC offsets"),
+        "sub_second_pair": (b"timestamp,price\n2020-01-01T00:00:00.2,1\n2020-01-01T00:00:00.7,2\n",
+                            r"line 2: bad timestamp '2020-01-01T00:00:00.2': fractions of a second"),
+        "sub_second_later": (b"timestamp,price\n2020-01-01T00:00:01.000,1\n"
+                             b"2020-01-01T00:00:02.50,2\n2020-01-01T00:00:03,3\n",
+                             r"line 3: bad timestamp '2020-01-01T00:00:02.50': fractions of a second"),
+        "ten_zero_digits": (b"timestamp,price\n2020-01-01T00:00:00.0000000000,1\n"
+                            b"2020-01-01T00:00:01,2\n", r"line 2: .*: fractions of a second"),
     }
 
     @pytest.mark.filterwarnings("ignore:.*out of order")
@@ -139,6 +159,14 @@ class TestIngest:
         assert [(e["instrument"], e["stage"]) for e in report["errors"]] == [(str(latin1), "ingest")]
         assert [s["instrument"] for s in report["instruments"]] == ["good"]
 
+    def test_whole_seconds_without_offset_accepted(self, tmp_path):
+        f = tmp_path / "w.csv"
+        f.write_text("timestamp,price\n2000-01-01T00:00:00.000,1\n+2000-01-01 00:00:01.,2\n"
+                     "2000-01-01T00:00:02,3\n")
+        s = ingest_csv(f)
+        assert s.timestamps.astype(str).tolist() == [
+            "2000-01-01T00:00:00", "2000-01-01T00:00:01", "2000-01-01T00:00:02"]
+
     def test_emit_then_ingest_round_trip(self, tmp_path):
         f = synth_csv(tmp_path / "s.csv", length=500, kind="iid", seed=3)
         s1 = ingest_csv(f)
@@ -152,7 +180,10 @@ class TestIngest:
 TIMESTAMPS = st.one_of(
     st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1)).map(datetime.isoformat),
     st.sampled_from(["", "NaT", "2000-01-01", "2000-01-01T00:00:00.5", "2000-13-01",
-                     "123456789", "-0001-01-01", "2000-01-01T00:00Z", '"2000-01-01'])
+                     "123456789", "-0001-01-01", "2000-01-01T00:00Z", '"2000-01-01',
+                     "2000-01-01T09:00+09:00", "2000-01-01T09:00:00-05:00",
+                     "2000-01-01 09:00-0500", "2000-01-01T09+09", "1-01-01T09-05",
+                     "2000-01-01T00:00:00.000"])
     | st.text("0123456789-T:. Z", max_size=20),
     st.text(max_size=10),
 )
@@ -177,8 +208,8 @@ def test_any_csv_text_is_a_series_or_an_ingest_error_naming_the_line(
     f.write_bytes(text.encode("utf-8"))
     n_lines = len(re.split(r"\r\n|\r|\n", text))
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             series = ingest_csv(f)
     except IngestError as exc:
         m = re.match(rf"{re.escape(str(f))}: (line (\d+): |need at least 2 rows$)", str(exc))
@@ -186,6 +217,8 @@ def test_any_csv_text_is_a_series_or_an_ingest_error_naming_the_line(
         assert m[2] is None or 1 <= int(m[2]) <= n_lines, str(exc)
     else:
         assert isinstance(series, PriceSeries)
+        # numpy converts a UTC offset with only this warning
+        assert not [w for w in caught if "representation of timezones" in str(w.message)]
         assert not np.any(np.isnat(series.timestamps))
         assert series.sampling_interval > np.timedelta64(0, "s")
 
@@ -393,8 +426,10 @@ def per_threshold_envelope(vol, q, cfg):
 
 
 class TestSurrogateEnvelopes:
+    pool = None  # serial; TestSurrogateEnvelopesOnAPool reruns every case on a pool
+
     def assert_matches_per_threshold(self, vol, qs, cfg):
-        got = _surrogate_envelopes(vol, qs, cfg)
+        got = _surrogate_envelopes(vol, qs, cfg, self.pool)
         assert sorted(got) == sorted(set(qs))
         for q in qs:
             want = per_threshold_envelope(vol, q, cfg)
@@ -421,6 +456,109 @@ class TestSurrogateEnvelopes:
         got = self.assert_matches_per_threshold(vol, [1.0, 0.5], cfg)
         assert str(got[1.0]) == "no above-median clusters"
         assert got[0.5][1] == 8
+
+
+class TestSurrogateEnvelopesOnAPool(TestSurrogateEnvelopes):
+    """Every case again, with the seeds shared over an executor of 4 threads."""
+
+    @pytest.fixture(autouse=True)
+    def _pool(self):
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            self.pool = ex
+            yield
+
+
+def test_surrogate_seeds_run_on_pool_threads(monkeypatch):
+    threads = set()
+    shuffle = volintervals.pipeline.shuffle_volatility
+
+    def slow_shuffle(vol, seed):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)  # long enough for the helpers to start
+        return shuffle(vol, seed)
+
+    monkeypatch.setattr(volintervals.pipeline, "shuffle_volatility", slow_shuffle)
+    vol = VolatilitySeries(np.abs(correlated_gaussian(2**12, 0.3, seed=2)))
+    cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0], ensemble=16, max_workers=3)
+    with ThreadPoolExecutor(max_workers=3) as ex:
+        got = _surrogate_envelopes(vol, [1.0], cfg, ex)
+    assert len(threads) > 1
+    assert np.array_equal(got[1.0][0], per_threshold_envelope(vol, 1.0, cfg))
+
+
+def test_surrogate_does_not_wait_for_a_busy_pool():
+    # the pool's only thread is taken, as when units fill every thread:
+    # the caller runs every seed itself and drops the queued helpers
+    vol = VolatilitySeries(np.abs(correlated_gaussian(2**12, 0.3, seed=2)))
+    cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0, 1.5], ensemble=6)
+    release = threading.Event()
+    with ThreadPoolExecutor(max_workers=1) as ex:
+        blocker = ex.submit(release.wait, 20)
+        try:
+            got = _surrogate_envelopes(vol, [1.0, 1.5], cfg, ex)
+            assert not blocker.done()
+        finally:
+            release.set()
+    for q in (1.0, 1.5):
+        assert np.array_equal(got[q][0], per_threshold_envelope(vol, q, cfg))
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _finish_within(seconds, fn):
+    """fn() on a daemon thread, so that a deadlock fails the test instead of hanging it."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"did not finish within {seconds} s"
+    assert out, "raised, see the thread's traceback"
+    return out[0]
+
+
+def _analyze_with_workers(config: Path, out: Path, workers: int) -> dict:
+    """The tree that `analyze --config` writes with max_workers set to `workers`."""
+    text = config.read_text() + f"max_workers = {workers}\nout = {out}\n"
+    (out.parent / f"{out.name}.cfg").write_text(text)
+    _finish_within(120, lambda: main(["analyze", "--config", str(out.parent / f"{out.name}.cfg")]))
+    return _tree(out)
+
+
+@pytest.mark.parametrize("run", ["daily_split", "session"])
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, run):
+    monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+    config = tmp_path / "run.cfg"
+    if run == "daily_split":  # the golden linear_split run: 2 units
+        csv = synth_csv(tmp_path / "inst.csv", length=2**13, seed=3)
+        config.write_text(f"input = {csv}\nq = 1,1.5,2,3,6\nensemble = 20\nbinning = linear\n"
+                          "subsets = 2\nsplit_date = 1995-01-01\n")
+    else:
+        write_intraday_csv(tmp_path / "intraday.csv")
+        config.write_text(f"input = {tmp_path / 'intraday.csv'}\n{SESSION_CONFIG}")
+    serial = _analyze_with_workers(config, tmp_path / "w1", 1)
+    assert len(serial) > 50
+    assert _analyze_with_workers(config, tmp_path / "w4", 4) == serial
+
+
+def test_many_units_on_two_workers_with_constant_thread_switches(tmp_path, monkeypatch):
+    # 6 units on 2 threads, each unit also queueing a surrogate helper, with
+    # the GIL handed over as often as possible to shake out ordering bugs
+    monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+    inputs = [str(synth_csv(tmp_path / f"i{k}.csv", length=3000, seed=k)) for k in range(3)]
+    cfg = dict(inputs=inputs, thresholds=[1.0, 1.5], ensemble=12, split_date="1990-01-01")
+    run_pipeline(AnalysisConfig(**cfg, max_workers=1, out_dir=str(tmp_path / "serial")))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = _finish_within(120, lambda: run_pipeline(
+            AnalysisConfig(**cfg, max_workers=2, out_dir=str(tmp_path / "pooled"))))
+    finally:
+        sys.setswitchinterval(interval)
+    assert report["exit_code"] == 0 and len(report["instruments"]) == 6
+    assert _tree(tmp_path / "pooled") == _tree(tmp_path / "serial")
 
 
 class TestConfigFile:
