@@ -23,14 +23,14 @@ vol = gen_longrange_correlated(
 
 q = 2.0
 seq = extract_intervals(vol, q)
-runs = clusters(median_split(seq), median=float(np.median(seq.intervals)), q=q)
+runs = clusters(median_split(seq))
 surv = cluster_survival(runs, "above")
 
 shuf_seq = extract_intervals(shuffle_volatility(vol, seed=0), q)
 shuf_runs = clusters(median_split(shuf_seq))
 shuf_surv = cluster_survival(shuf_runs, "above")
 
-print(f"q={q:g}: {len(seq)} intervals, median {runs.median:g}\n")
+print(f"q={q:g}: {len(seq)} intervals, median {np.median(seq.intervals):g}\n")
 print("  k    P(size>=k)  shuffled    2^(1-k)")
 for k in range(1, 11):
     obs = surv[k - 1, 1] if surv.shape[0] >= k else 0.0

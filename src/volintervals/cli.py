@@ -18,11 +18,8 @@ from .pipeline import (
     AnalysisConfig,
     ConfigError,
     IngestError,
-    _fmt,
-    _write_json,
     ingest_csv,
     load_config,
-    q_summary,
     run_pipeline,
     run_stage,
     split_by_date,
@@ -139,22 +136,8 @@ def _cmd_split(args) -> int:
 
 def _cmd_stage(args) -> int:
     # subcommands write under --out; VOLINTERVALS_OUT redirects only analyze
-    out = Path(args.out_dir)
-    summary = []
-    for seq in run_stage(_config(args), args.command, out):
-        q = seq.threshold_q
-        if args.command == "intervals":
-            summary.append({"q": q, "count": len(seq), "mean_interval": seq.mean_interval})
-        elif args.command == "pdf":
-            s = q_summary(seq)
-            print(f"q={q:g}: mean_interval={_fmt(s['mean_interval'])} "
-                  f"poisson_deviation={_fmt(s['poisson_deviation'])}")
-    if args.command == "intervals":
-        _write_json(out / "intervals_summary.json", summary)
-        print(json.dumps(summary))
-    elif args.command != "pdf":
-        kind = {"conditional": "conditional", "clusters": "cluster"}[args.command]
-        print(f"wrote {kind} statistics to {out}")
+    for line in run_stage(_config(args), args.command, Path(args.out_dir)):
+        print(line)
     return 0
 
 
@@ -167,7 +150,7 @@ def _cmd_analyze(args) -> int:
         cfg = _config(args)
     report = run_pipeline(cfg)
     for s in report["instruments"]:
-        qs = ", ".join(f"q={q}: <tau>={_fmt(v['mean_interval'])}" for q, v in sorted(s["per_q"].items()))
+        qs = ", ".join(f"q={q}: <tau>={v['mean_interval']:.10g}" for q, v in sorted(s["per_q"].items()))
         print(f"{s['instrument']}: {qs}")
     if report["errors"]:
         print(json.dumps(report["errors"], indent=2), file=sys.stderr)

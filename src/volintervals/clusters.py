@@ -28,22 +28,17 @@ __all__ = [
 class ClusterRuns:
     above_sizes: np.ndarray
     below_sizes: np.ndarray
-    median: float
-    q: float
 
 
-def median_split(seq: IntervalSequence, median: float | None = None) -> np.ndarray:
+def median_split(seq: IntervalSequence) -> np.ndarray:
     """Boolean labels: True where the interval is strictly above the median.
 
-    Ties at the median count as below. An externally supplied median
-    (e.g. pooled across instruments) can override the per-sequence one.
+    Ties at the median count as below.
     """
-    if median is None:
-        median = float(np.median(seq.intervals))
-    return seq.intervals > median
+    return seq.intervals > np.median(seq.intervals)
 
 
-def clusters(labels, median: float = np.nan, q: float = np.nan) -> ClusterRuns:
+def clusters(labels) -> ClusterRuns:
     """Run-length decomposition of an above/below label sequence."""
     lab = np.asarray(labels, dtype=bool)
     if lab.size == 0:
@@ -53,12 +48,7 @@ def clusters(labels, median: float = np.nan, q: float = np.nan) -> ClusterRuns:
     edges = np.concatenate(([0], starts, [lab.size]))
     sizes = np.diff(edges)
     first = lab[edges[:-1]]
-    return ClusterRuns(
-        above_sizes=sizes[first],
-        below_sizes=sizes[~first],
-        median=float(median),
-        q=float(q),
-    )
+    return ClusterRuns(above_sizes=sizes[first], below_sizes=sizes[~first])
 
 
 def cluster_survival(runs: ClusterRuns, side: str = "above") -> np.ndarray:

@@ -43,9 +43,6 @@ class BinnedPDF:
             return np.sqrt(e[:-1] * e[1:])
         return 0.5 * (e[:-1] + e[1:])
 
-    def widths(self) -> np.ndarray:
-        return np.diff(self.bin_edges)
-
 
 @dataclass(frozen=True)
 class ScaledPDF:

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import re
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -25,7 +24,7 @@ import numpy as np
 
 from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
 from .distributions import collapse_distance, pdf_estimate, poisson_deviation, scale_pdf
-from .intervals import InsufficientEventsError, extract_intervals
+from .intervals import extract_intervals
 from .memory import conditional_mean_curve, conditional_pdfs, shuffle_intervals
 from .series import (
     PriceSeries,
@@ -381,64 +380,54 @@ STAGES = {
 }
 
 
-def _surrogate_envelopes(vol, qs, cfg, pool=None) -> dict:
-    """Mean +/- 3 sigma survival of above-median runs over shuffled volatility.
+def _seed_rows(vol, qs, seed) -> list:
+    """Above-median run survival of each q of ascending `qs` on one shuffle of vol.
 
-    One permutation per seed serves every q: in ascending order, each q's
-    events are the previous q's that exceed it, and a permutation keeps
-    their number. Maps q to (rows, seeds used) or to the ValueError of its
-    lowest failing seed.
-
-    With a pool, up to cfg.max_workers - 1 helper tasks take seeds from the
-    same counter as the calling thread; each seed fills only its own row,
-    so the result does not depend on how the seeds were shared out. The
-    caller never waits on a helper that has not started, so a pool whose
-    threads are all running units cannot deadlock.
+    Each q's events are the previous q's that exceed it. An entry holds the
+    survival at k = 1.._SURROGATE_KMAX, or the ValueError of a shuffle that
+    leaves no interval above the median.
     """
-    out: dict = {q: InsufficientEventsError(q, n) for q in qs
-                 if (n := int(np.count_nonzero(vol.values > q))) < 2}
-    live = [q for q in sorted(qs) if q not in out]
-    surv = {q: np.zeros((cfg.ensemble, _SURROGATE_KMAX)) for q in live}
-    failed: dict = {}  # q -> (lowest failing seed index found so far, its error)
-    seeds, lock = iter(range(cfg.ensemble)), threading.Lock()
-
-    def run_seeds():
-        while True:
-            with lock:
-                i = next(seeds, None)
-            if i is None:
-                return
-            todo = [q for q in live if q not in failed or failed[q][0] > i]
-            if not todo:  # every q already failed on a lower seed
-                return
-            g, ev = shuffle_volatility(vol, cfg.seed + i).values, None
-            for q in todo:
-                ev = np.flatnonzero(g > q) if ev is None else ev[g[ev] > q]
-                iv = np.diff(ev)
-                try:
-                    s = cluster_survival(clusters(iv > np.median(iv)), side="above")
-                except ValueError as exc:  # no interval above the median
-                    with lock:
-                        if q not in failed or failed[q][0] > i:
-                            failed[q] = (i, exc)
-                    continue
-                surv[q][i, :min(s.shape[0], _SURROGATE_KMAX)] = s[:_SURROGATE_KMAX, 1]
-
-    n_helpers = min(cfg.max_workers, cfg.ensemble) - 1 if pool is not None else 0
-    helpers = [pool.submit(run_seeds) for _ in range(n_helpers)]
-    run_seeds()
-    for helper in helpers:
-        if not helper.cancel():  # started: it returns once the seeds run out
-            helper.result()
-    for q in live:
-        if q in failed:
-            out[q] = failed[q][1]
+    g, ev, rows = shuffle_volatility(vol, seed).values, None, []
+    for q in qs:
+        ev = np.flatnonzero(g > q) if ev is None else ev[g[ev] > q]
+        iv = np.diff(ev)
+        try:
+            s = cluster_survival(clusters(iv > np.median(iv)), side="above")[:_SURROGATE_KMAX, 1]
+        except ValueError as exc:  # no interval above the median
+            rows.append(exc)
             continue
-        mean = surv[q].mean(axis=0)
-        sd = surv[q].std(axis=0, ddof=1) if cfg.ensemble > 1 else np.zeros(_SURROGATE_KMAX)
-        out[q] = (np.column_stack([np.arange(1, _SURROGATE_KMAX + 1), mean,
-                                   mean - 3 * sd, mean + 3 * sd]), cfg.ensemble)
-    return out
+        rows.append(np.pad(s, (0, _SURROGATE_KMAX - s.size)))
+    return rows
+
+
+def _envelope(rows):
+    """k, mean and mean -/+ 3 sigma of one q's survival rows over the seeds,
+    or the error of its first failing seed."""
+    exc = next((r for r in rows if isinstance(r, ValueError)), None)
+    if exc is not None:
+        return exc
+    surv = np.array(rows)
+    mean = surv.mean(axis=0)
+    sd = surv.std(axis=0, ddof=1) if len(rows) > 1 else np.zeros(_SURROGATE_KMAX)
+    return np.column_stack([np.arange(1, _SURROGATE_KMAX + 1), mean, mean - 3 * sd, mean + 3 * sd])
+
+
+def _write_surrogates(summary: dict, passed: dict, seed_rows: list, outdir: Path) -> None:
+    """Each passed q's cluster_surrogate.tsv and q_summary, from its rows of every seed.
+
+    A q with a failing seed gets that seed's error instead, and the unit's
+    errors stay in threshold order.
+    """
+    for (q, stats), rows in zip(passed.items(), zip(*seed_rows)):
+        env = _envelope(rows)
+        if isinstance(env, ValueError):
+            summary["errors"].append({"instrument": summary["instrument"], "q": q,
+                                      "stage": "surrogate", "error": str(env)})
+            continue
+        _write_tsv(outdir / f"q{q:g}" / "cluster_surrogate.tsv", ("k", "mean", "lo", "hi"),
+                   tuple(env.T), f"seeds={len(rows)}")
+        summary["per_q"][f"{q:g}"] = stats
+    summary["errors"].sort(key=lambda e: e["q"])
 
 
 def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
@@ -458,23 +447,39 @@ def q_summary(seq) -> dict:
             "poisson_deviation": poisson_deviation(seq)}
 
 
-def run_stage(cfg: AnalysisConfig, name: str, out: Path) -> Iterator:
+def run_stage(cfg: AnalysisConfig, name: str, out: Path) -> Iterator[str]:
     """Run stage `name` on cfg.inputs[0] per threshold, writing under `out`.
 
-    Yields each threshold's IntervalSequence once its files are written;
-    the first failing threshold raises.
+    Yields the subcommand's report lines as they become known: each
+    threshold's mean interval and Poisson deviation for `pdf`, the counts
+    (also written to intervals_summary.json) for `intervals`, and where the
+    files went for the others. The first failing threshold raises.
     """
     vol, session_ids = _volatility(ingest_csv(cfg.inputs[0]), cfg)
     _, tables = STAGES[name]
+    counts = []
     for q in cfg.thresholds:
         seq = extract_intervals(vol, q, session_ids=session_ids,
                                 drop_session_gaps=cfg.drop_session_gaps)
         for t in tables(seq, cfg):
             _write_tsv(out / f"{t.stem}_q{q:g}{t.suffix}.tsv", t.header, t.columns)
-        yield seq
+        counts.append({"q": q, "count": len(seq), "mean_interval": seq.mean_interval})
+        if name == "pdf":
+            yield (f"q={q:g}: mean_interval={_fmt(seq.mean_interval)} "
+                   f"poisson_deviation={_fmt(poisson_deviation(seq))}")
+    if name == "intervals":
+        _write_json(out / "intervals_summary.json", counts)
+        yield json.dumps(counts)
+    elif name != "pdf":
+        yield f"wrote {'cluster' if name == 'clusters' else name} statistics to {out}"
 
 
-def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path, pool=None) -> dict:
+def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path):
+    """Every stage but the surrogate on one unit, writing its TSVs and collapse_matrix.json.
+
+    Returns the unit's summary, its volatility (None if that failed) and
+    the q_summary of each threshold that passed every stage, in ascending q.
+    """
     summary: dict = {"instrument": prices.instrument_id, "n_samples": len(prices), "per_q": {},
                      "gaps": gap_report(prices)}
     try:
@@ -482,8 +487,7 @@ def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path, pool=No
     except ValueError as exc:  # constant prices, a sample outside the session, detrending
         summary["errors"] = [{"instrument": prices.instrument_id, "q": None,
                               "stage": "volatility", "error": str(exc)}]
-        _write_json(outdir / "summary.json", summary)
-        return summary
+        return summary, None, {}
     if session_ids is not None:
         summary["detrended"] = True
 
@@ -500,15 +504,6 @@ def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path, pool=No
         except ValueError as exc:  # InsufficientEvents/PairsError included
             errors[q] = {"instrument": prices.instrument_id, "q": q,
                          "stage": stage, "error": str(exc)}
-    for q, env in _surrogate_envelopes(vol, [q for q in seqs if q not in errors], cfg,
-                                       pool).items():
-        if isinstance(env, ValueError):
-            errors[q] = {"instrument": prices.instrument_id, "q": q,
-                         "stage": "surrogate", "error": str(env)}
-        else:
-            _write_tsv(outdir / f"q{q:g}" / "cluster_surrogate.tsv", ("k", "mean", "lo", "hi"),
-                       tuple(env[0].T), f"seeds={env[1]}")
-            summary["per_q"][f"{q:g}"] = q_summary(seqs[q])
 
     if len(seqs) >= 2:
         qs = sorted(seqs)
@@ -516,8 +511,7 @@ def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path, pool=No
         _write_json(outdir / "collapse_matrix.json",
                     {"q": [f"{q:g}" for q in qs], "ks_distance": mat.tolist()})
     summary["errors"] = [errors[q] for q in cfg.thresholds if q in errors]
-    _write_json(outdir / "summary.json", summary)
-    return summary
+    return summary, vol, {q: q_summary(seq) for q, seq in seqs.items() if q not in errors}
 
 
 def _usable_cpus() -> int:
@@ -557,9 +551,19 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
             units.append((series, out / series.instrument_id))
 
     if units:
-        # units and their surrogate seeds share the pool
+        # one pool and three passes, in which no task waits on another: the
+        # units, then one shuffle per (unit, seed) serving all of the unit's
+        # thresholds, then each unit's surrogate and summary from this thread
         with ThreadPoolExecutor(max_workers=min(cfg.max_workers, _usable_cpus())) as ex:
-            for summary in ex.map(lambda unit: _analyze_one(unit[0], cfg, unit[1], ex), units):
+            analyzed = list(ex.map(lambda unit: _analyze_one(unit[0], cfg, unit[1]), units))
+            seed_rows = ex.map(lambda job: _seed_rows(*job), [
+                (vol, list(passed), cfg.seed + i)
+                for _, vol, passed in analyzed if passed for i in range(cfg.ensemble)])
+            for (summary, _, passed), (_, outdir) in zip(analyzed, units):
+                if passed:
+                    _write_surrogates(summary, passed,
+                                      list(itertools.islice(seed_rows, cfg.ensemble)), outdir)
+                _write_json(outdir / "summary.json", summary)
                 report["instruments"].append(summary)
                 report["errors"].extend(summary["errors"])
     report["exit_code"] = 0 if not report["errors"] else 1

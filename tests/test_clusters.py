@@ -37,10 +37,6 @@ class TestMedianSplit:
             seq = make_seq(rng.geometric(0.3, size=rng.integers(10, 200)))
             assert median_split(seq).sum() <= len(seq) / 2
 
-    def test_external_median_override(self):
-        labels = median_split(make_seq([1, 5, 9]), median=0.5)
-        assert labels.all()
-
 
 class TestClusters:
     def test_run_length_encoding(self):

@@ -37,13 +37,13 @@ class TestPdfEstimate:
         rng = np.random.default_rng(0)
         seq = make_seq(rng.geometric(0.2, size=5000))
         pdf = pdf_estimate(seq, mode=mode, n_bins=12)
-        assert np.sum(pdf.densities * pdf.widths()) == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(pdf.densities * np.diff(pdf.bin_edges)) == pytest.approx(1.0, abs=1e-9)
 
     def test_identical_intervals_log_mode_falls_back(self):
         with pytest.warns(UserWarning):
             pdf = pdf_estimate(make_seq([3, 3, 3]), mode="logarithmic")
         assert pdf.densities.size == 1
-        assert np.sum(pdf.densities * pdf.widths()) == pytest.approx(1.0)
+        assert np.sum(pdf.densities * np.diff(pdf.bin_edges)) == pytest.approx(1.0)
 
     def test_log_binned_geometric_matches_analytic_pmf(self):
         p = 0.0455

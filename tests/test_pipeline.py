@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from volintervals import (
     AnalysisConfig,
-    InsufficientEventsError,
     PriceSeries,
     VolatilitySeries,
     cluster_survival,
@@ -36,7 +35,8 @@ from volintervals.pipeline import (
     ConfigError,
     IngestError,
     _analyze_one,
-    _surrogate_envelopes,
+    _envelope,
+    _seed_rows,
     _write_json,
     load_config,
 )
@@ -405,9 +405,30 @@ class TestRunPipeline:
                             lambda seq, n: calls.append(seq.threshold_q) or blocks(seq, n))
         prices = ingest_csv(synth_csv(tmp_path / "inst.csv", length=20000, seed=1))
         cfg = AnalysisConfig(inputs=["inst.csv"], thresholds=[1.0, 2.0], ensemble=2)
-        summary = _analyze_one(prices, cfg, tmp_path / "out")
-        assert summary["errors"] == []
+        summary, _, passed = _analyze_one(prices, cfg, tmp_path / "out")
+        assert summary["errors"] == [] and list(passed) == [1.0, 2.0]
         assert calls == [1.0] * 3 + [2.0] * 3
+
+    @pytest.mark.filterwarnings("ignore:all intervals identical")
+    def test_surrogate_error_keeps_its_threshold_order(self, tmp_path, monkeypatch):
+        # q=0.5 passes every stage, q=1 passes all but the surrogate (see
+        # TestSurrogateEnvelopes) and q=6 fails extraction
+        values = np.array([5, 5, 0, 5, 0.7, 0.7, 0, 0.7, 0.7, 0.7, 0.7, 0.7])
+        monkeypatch.setattr(volintervals.pipeline, "_volatility",
+                            lambda prices, cfg: (VolatilitySeries(values), None))
+        csv = tmp_path / "inst.csv"
+        csv.write_text("timestamp,price\n" + "".join(
+            f"2000-01-{d:02d}T00:00:00,{100 + d}\n" for d in range(1, 14)))
+        out = tmp_path / "out"
+        cfg = AnalysisConfig(inputs=[str(csv)], thresholds=[6.0, 1.0, 0.5], n_subsets=1,
+                             ensemble=8, out_dir=str(out))
+        report = run_pipeline(cfg)
+        assert [(e["q"], e["stage"]) for e in report["errors"]] == \
+            [(1.0, "surrogate"), (6.0, "extract")]
+        summary = json.loads((out / "inst" / "summary.json").read_text())
+        assert summary["errors"] == json.loads((out / "report.json").read_text())["errors"] \
+            == report["errors"]
+        assert list(summary["per_q"]) == ["0.5"]
 
 
 def per_threshold_envelope(vol, q, cfg):
@@ -426,81 +447,61 @@ def per_threshold_envelope(vol, q, cfg):
 
 
 class TestSurrogateEnvelopes:
-    pool = None  # serial; TestSurrogateEnvelopesOnAPool reruns every case on a pool
+    map = map  # serial; TestSurrogateEnvelopesOnAPool reruns every case on a pool
 
     def assert_matches_per_threshold(self, vol, qs, cfg):
-        got = _surrogate_envelopes(vol, qs, cfg, self.pool)
-        assert sorted(got) == sorted(set(qs))
+        per_seed = list(self.map(lambda i: _seed_rows(vol, qs, cfg.seed + i), range(cfg.ensemble)))
+        got = {q: _envelope(rows) for q, rows in zip(qs, zip(*per_seed))}
         for q in qs:
             want = per_threshold_envelope(vol, q, cfg)
             if isinstance(want, ValueError):
                 assert type(got[q]) is type(want) and str(got[q]) == str(want), q
             else:
-                rows, used = got[q]
-                assert np.array_equal(rows, want), q
-                assert used == cfg.ensemble
+                assert np.array_equal(got[q], want), q
         return got
 
     def test_matches_per_threshold_loop(self):
         vol = VolatilitySeries(np.abs(correlated_gaussian(2**14, 0.3, seed=2)))
         cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0], seed=11, ensemble=6)
-        qs = [2.0, 1.0, float(vol.values.max()) + 1, 1.5]
-        got = self.assert_matches_per_threshold(vol, qs, cfg)
-        assert isinstance(got[qs[2]], InsufficientEventsError)
+        got = self.assert_matches_per_threshold(vol, [1.0, 1.5, 2.0], cfg)
+        assert all(env.shape == (15, 4) for env in got.values())
 
     def test_seed_without_above_median_run_fails_its_threshold(self):
         # q=1 has 3 events: a seed that spaces them evenly leaves both intervals
         # at the median; q=0.5 has 10 events and an above-median run in every seed
         vol = VolatilitySeries(np.array([5, 5, 0, 5, 0.7, 0.7, 0, 0.7, 0.7, 0.7, 0.7, 0.7]))
         cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0], ensemble=8)
-        got = self.assert_matches_per_threshold(vol, [1.0, 0.5], cfg)
+        got = self.assert_matches_per_threshold(vol, [0.5, 1.0], cfg)
         assert str(got[1.0]) == "no above-median clusters"
-        assert got[0.5][1] == 8
+        assert got[0.5].shape == (15, 4)
 
 
 class TestSurrogateEnvelopesOnAPool(TestSurrogateEnvelopes):
-    """Every case again, with the seeds shared over an executor of 4 threads."""
+    """Every case again, with the seeds mapped over an executor of 4 threads."""
 
     @pytest.fixture(autouse=True)
     def _pool(self):
         with ThreadPoolExecutor(max_workers=4) as ex:
-            self.pool = ex
+            self.map = ex.map
             yield
 
 
-def test_surrogate_seeds_run_on_pool_threads(monkeypatch):
+def test_surrogate_seeds_run_on_pool_threads(tmp_path, monkeypatch):
     threads = set()
     shuffle = volintervals.pipeline.shuffle_volatility
 
     def slow_shuffle(vol, seed):
         threads.add(threading.get_ident())
-        time.sleep(0.01)  # long enough for the helpers to start
+        time.sleep(0.01)  # long enough for another thread to take the next seed
         return shuffle(vol, seed)
 
     monkeypatch.setattr(volintervals.pipeline, "shuffle_volatility", slow_shuffle)
-    vol = VolatilitySeries(np.abs(correlated_gaussian(2**12, 0.3, seed=2)))
-    cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0], ensemble=16, max_workers=3)
-    with ThreadPoolExecutor(max_workers=3) as ex:
-        got = _surrogate_envelopes(vol, [1.0], cfg, ex)
+    monkeypatch.setattr(volintervals.pipeline, "_usable_cpus", lambda: 3)
+    csv = synth_csv(tmp_path / "inst.csv", length=4000, seed=2)
+    report = run_pipeline(AnalysisConfig(inputs=[str(csv)], thresholds=[1.0], ensemble=16,
+                                         max_workers=3, out_dir=str(tmp_path / "out")))
+    assert report["exit_code"] == 0
     assert len(threads) > 1
-    assert np.array_equal(got[1.0][0], per_threshold_envelope(vol, 1.0, cfg))
-
-
-def test_surrogate_does_not_wait_for_a_busy_pool():
-    # the pool's only thread is taken, as when units fill every thread:
-    # the caller runs every seed itself and drops the queued helpers
-    vol = VolatilitySeries(np.abs(correlated_gaussian(2**12, 0.3, seed=2)))
-    cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0, 1.5], ensemble=6)
-    release = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as ex:
-        blocker = ex.submit(release.wait, 20)
-        try:
-            got = _surrogate_envelopes(vol, [1.0, 1.5], cfg, ex)
-            assert not blocker.done()
-        finally:
-            release.set()
-    for q in (1.0, 1.5):
-        assert np.array_equal(got[q][0], per_threshold_envelope(vol, q, cfg))
 
 
 def _tree(root: Path) -> dict:
@@ -544,8 +545,8 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, run):
 
 
 def test_many_units_on_two_workers_with_constant_thread_switches(tmp_path, monkeypatch):
-    # 6 units on 2 threads, each unit also queueing a surrogate helper, with
-    # the GIL handed over as often as possible to shake out ordering bugs
+    # 6 units on 2 threads, then their seeds, with the GIL handed over as
+    # often as possible to shake out ordering bugs
     monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
     inputs = [str(synth_csv(tmp_path / f"i{k}.csv", length=3000, seed=k)) for k in range(3)]
     cfg = dict(inputs=inputs, thresholds=[1.0, 1.5], ensemble=12, split_date="1990-01-01")
