@@ -28,22 +28,19 @@ from .pipeline import (
 from .series import PriceSeries
 from .synthetic import GeneratorSpec, correlated_gaussian, gen_iid_gaussian
 
-DEFAULT_QS = [1.0, 1.25, 1.5, 1.75, 2.0]
-
-# analysis flags; each stores under its AnalysisConfig field name, which
-# `_config` passes through unchanged
+# analysis flags; each stores under its AnalysisConfig field name, and only
+# when typed, so `_config` lays it over the --config file and the defaults
 FLAGS = {
     "--q": dict(dest="thresholds", action="append", type=float,
                 help="volatility threshold (repeatable)"),
-    "--bins": dict(dest="n_bins", type=int, default=30),
-    "--log-bins": dict(dest="binning", action="store_const", const="logarithmic",
-                       default="logarithmic"),
+    "--bins": dict(dest="n_bins", type=int),
+    "--log-bins": dict(dest="binning", action="store_const", const="logarithmic"),
     "--linear-bins": dict(dest="binning", action="store_const", const="linear"),
-    "--subsets": dict(dest="n_subsets", type=int, default=8),
-    "--seed": dict(type=int, default=0),
-    "--ensemble": dict(type=int, default=100),
+    "--subsets": dict(dest="n_subsets", type=int),
+    "--seed": dict(type=int),
+    "--ensemble": dict(type=int),
     "--split-date": dict(),
-    "--out": dict(dest="out_dir", default="out"),
+    "--out": dict(dest="out_dir"),
 }
 _BINS = ("--bins", "--log-bins", "--linear-bins")
 # analysis command -> (help, the flags it reads); every command but analyze
@@ -58,10 +55,10 @@ ANALYSIS_COMMANDS = {
 
 
 def _config(args) -> AnalysisConfig:
-    """The AnalysisConfig of an analysis command's flags; unset keys keep their defaults."""
-    kw = {f.name: getattr(args, f.name) for f in fields(AnalysisConfig) if hasattr(args, f.name)}
-    kw["thresholds"] = kw["thresholds"] or DEFAULT_QS
-    return AnalysisConfig(**kw)
+    """AnalysisConfig's defaults, overridden by the --config file, overridden by the typed flags."""
+    typed = {f.name: getattr(args, f.name) for f in fields(AnalysisConfig) if hasattr(args, f.name)}
+    path = getattr(args, "config", None)
+    return load_config(path, **typed) if path else AnalysisConfig(**typed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name, (text, flags) in ANALYSIS_COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
         if name == "analyze":
             p.add_argument("inputs", nargs="*", help="input CSV files (timestamp,price)")
-            p.add_argument("--config", default=None, help="key=value config file")
+            p.add_argument("--config", help="key=value config file")
         else:
             p.add_argument("inputs", nargs=1, metavar="input")
         for flag in flags:
@@ -135,20 +132,13 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_stage(args) -> int:
-    # subcommands write under --out; VOLINTERVALS_OUT redirects only analyze
-    for line in run_stage(_config(args), args.command, Path(args.out_dir)):
+    for line in run_stage(_config(args), args.command):
         print(line)
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-        if args.inputs:
-            cfg.inputs = list(args.inputs)
-    else:
-        cfg = _config(args)
-    report = run_pipeline(cfg)
+    report = run_pipeline(_config(args))
     for s in report["instruments"]:
         qs = ", ".join(f"q={q}: <tau>={v['mean_interval']:.10g}" for q, v in sorted(s["per_q"].items()))
         print(f"{s['instrument']}: {qs}")

@@ -14,7 +14,7 @@ import math
 import os
 import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,8 +64,8 @@ class IngestError(ValueError):
 
 @dataclass
 class AnalysisConfig:
-    inputs: list[str]
-    thresholds: list[float]
+    inputs: list[str] = field(default_factory=list)
+    thresholds: list[float] = field(default_factory=lambda: [1.0, 1.25, 1.5, 1.75, 2.0])
     binning: str = "logarithmic"
     n_bins: int = 30
     n_subsets: int = 8
@@ -87,9 +87,15 @@ class AnalysisConfig:
         self.thresholds = sorted({float(q) for q in self.thresholds})
         if self.binning not in ("linear", "logarithmic"):
             raise ConfigError(f"binning must be 'linear' or 'logarithmic', got {self.binning!r}")
-        for key, least in (("n_bins", 2), ("n_subsets", 1), ("ensemble", 1), ("max_workers", 1)):
+        for key, least in (("n_bins", 2), ("n_subsets", 1), ("seed", 0), ("ensemble", 1),
+                           ("max_workers", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        try:  # numpy reads "NaT" as a date
+            if self.split_date and np.isnat(np.datetime64(self.split_date)):
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"split_date must be a date, got {self.split_date!r}") from None
         if bool(self.session_open) != bool(self.session_close):
             raise ConfigError("session_open and session_close must be given together")
         if self.drop_session_gaps and not self.session_open:
@@ -99,13 +105,10 @@ class AnalysisConfig:
                 self.calendar = SessionCalendar(self.session_open, self.session_close)
         except ValueError as exc:  # a bound that is not HH:MM, or open not before close
             raise ConfigError(str(exc)) from None
-        env_out = os.environ.get(OUT_DIR_ENV)
-        if env_out:
-            self.out_dir = env_out
 
 
-def load_config(path) -> AnalysisConfig:
-    """Parse a line-oriented key=value config file."""
+def load_config(path, **overrides) -> AnalysisConfig:
+    """Parse a key=value config file into an AnalysisConfig, `overrides` replacing its values."""
     kw: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -121,17 +124,17 @@ def load_config(path) -> AnalysisConfig:
                 kw["thresholds"] = [float(v) for v in value.split(",") if v.strip()]
             elif key in ("bins", "subsets", "seed", "ensemble", "max_workers"):
                 kw[{"bins": "n_bins", "subsets": "n_subsets"}.get(key, key)] = int(value)
-            elif key == "drop_session_gaps":
-                kw["drop_session_gaps"] = value.lower() in ("1", "true", "yes")
+            elif key == "drop_session_gaps":  # .index raises for a word that is neither
+                kw[key] = ("0", "false", "no", "1", "true", "yes").index(value.lower()) > 2
             elif key in ("binning", "split_date", "session_open", "session_close", "out"):
                 kw["out_dir" if key == "out" else key] = value
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         except ConfigError:
             raise
-        except ValueError as exc:  # int() or float() of the value
+        except ValueError as exc:  # int(), float() or .index() of the value
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return AnalysisConfig(**kw)
+    return AnalysisConfig(**{**kw, **overrides})
 
 
 def _blank(row) -> bool:
@@ -186,7 +189,9 @@ def ingest_csv(path) -> PriceSeries:
     if not path.is_file():
         raise IngestError(f"{path}: no such file")
     timestamps, prices = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    # numpy warns about time zones before it rejects text after a time
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "no explicit representation of timezones")
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -381,18 +386,16 @@ STAGES = {
 
 
 def _seed_rows(vol, qs, seed) -> list:
-    """Above-median run survival of each q of ascending `qs` on one shuffle of vol.
+    """Above-median run survival of each q of `qs` on one shuffle of vol.
 
-    Each q's events are the previous q's that exceed it. An entry holds the
-    survival at k = 1.._SURROGATE_KMAX, or the ValueError of a shuffle that
-    leaves no interval above the median.
+    An entry holds the survival at k = 1.._SURROGATE_KMAX, or the
+    ValueError of a shuffle that leaves no interval above the median.
     """
-    g, ev, rows = shuffle_volatility(vol, seed).values, None, []
+    shuffled, rows = shuffle_volatility(vol, seed), []
     for q in qs:
-        ev = np.flatnonzero(g > q) if ev is None else ev[g[ev] > q]
-        iv = np.diff(ev)
         try:
-            s = cluster_survival(clusters(iv > np.median(iv)), side="above")[:_SURROGATE_KMAX, 1]
+            runs = clusters(median_split(extract_intervals(shuffled, q)))
+            s = cluster_survival(runs, side="above")[:_SURROGATE_KMAX, 1]
         except ValueError as exc:  # no interval above the median
             rows.append(exc)
             continue
@@ -447,14 +450,15 @@ def q_summary(seq) -> dict:
             "poisson_deviation": poisson_deviation(seq)}
 
 
-def run_stage(cfg: AnalysisConfig, name: str, out: Path) -> Iterator[str]:
-    """Run stage `name` on cfg.inputs[0] per threshold, writing under `out`.
+def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
+    """Run stage `name` on cfg.inputs[0] per threshold, writing under cfg.out_dir.
 
     Yields the subcommand's report lines as they become known: each
     threshold's mean interval and Poisson deviation for `pdf`, the counts
     (also written to intervals_summary.json) for `intervals`, and where the
     files went for the others. The first failing threshold raises.
     """
+    out = Path(cfg.out_dir)
     vol, session_ids = _volatility(ingest_csv(cfg.inputs[0]), cfg)
     _, tables = STAGES[name]
     counts = []
@@ -524,11 +528,12 @@ def _usable_cpus() -> int:
 def run_pipeline(cfg: AnalysisConfig) -> dict:
     """Run every configured analysis; returns the report bundle.
 
-    Failures are attributed to (instrument, q, stage) and do not stop
+    Outputs go under cfg.out_dir, or under $VOLINTERVALS_OUT when that is
+    set. Failures are attributed to (instrument, q, stage) and do not stop
     independent units. The report's "exit_code" is 0 only if everything
     succeeded.
     """
-    out = Path(cfg.out_dir)
+    out = Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
     units = []  # (series, outdir)
     report: dict = {"instruments": [], "errors": []}
     for path in cfg.inputs:
@@ -551,18 +556,22 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
             units.append((series, out / series.instrument_id))
 
     if units:
-        # one pool and three passes, in which no task waits on another: the
-        # units, then one shuffle per (unit, seed) serving all of the unit's
-        # thresholds, then each unit's surrogate and summary from this thread
+        # one pool, in which no task waits on another: a task per unit, then,
+        # queued as soon as its unit returns, one shuffle per (unit, seed)
+        # serving all of the unit's thresholds; this thread then writes each
+        # unit's surrogates and summary in input order
         with ThreadPoolExecutor(max_workers=min(cfg.max_workers, _usable_cpus())) as ex:
-            analyzed = list(ex.map(lambda unit: _analyze_one(unit[0], cfg, unit[1]), units))
-            seed_rows = ex.map(lambda job: _seed_rows(*job), [
-                (vol, list(passed), cfg.seed + i)
-                for _, vol, passed in analyzed if passed for i in range(cfg.ensemble)])
-            for (summary, _, passed), (_, outdir) in zip(analyzed, units):
+            analyzed = {ex.submit(_analyze_one, series, cfg, outdir): outdir
+                        for series, outdir in units}
+            seeds = {}
+            for unit in as_completed(analyzed):
+                _, vol, passed = unit.result()
+                seeds[unit] = [ex.submit(_seed_rows, vol, list(passed), cfg.seed + i)
+                               for i in range(cfg.ensemble if passed else 0)]
+            for unit, outdir in analyzed.items():
+                summary, _, passed = unit.result()
                 if passed:
-                    _write_surrogates(summary, passed,
-                                      list(itertools.islice(seed_rows, cfg.ensemble)), outdir)
+                    _write_surrogates(summary, passed, [f.result() for f in seeds[unit]], outdir)
                 _write_json(outdir / "summary.json", summary)
                 report["instruments"].append(summary)
                 report["errors"].extend(summary["errors"])

@@ -137,16 +137,21 @@ class TestIngest:
                              r"line 3: bad timestamp '2020-01-01T00:00:02.50': fractions of a second"),
         "ten_zero_digits": (b"timestamp,price\n2020-01-01T00:00:00.0000000000,1\n"
                             b"2020-01-01T00:00:01,2\n", r"line 2: .*: fractions of a second"),
+        "text_after_time": (b"timestamp,price\n2000-01-01T00:00,1\n2000-01-01T00:01x,2\n",
+                            r"line 3: bad timestamp '2000-01-01T00:01x'$"),
     }
 
-    @pytest.mark.filterwarnings("ignore:.*out of order")
     @pytest.mark.parametrize("case", BAD_CONTENT)
     def test_bad_content_is_an_ingest_error_naming_the_line(self, tmp_path, case):
         content, message = self.BAD_CONTENT[case]
         f = tmp_path / "x.csv"
         f.write_bytes(content)
-        with pytest.raises(IngestError, match=rf"^{re.escape(str(f))}: {message}"):
-            ingest_csv(f)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IngestError, match=rf"^{re.escape(str(f))}: {message}"):
+                ingest_csv(f)
+        # the error says what is wrong; a warning about time zones would mislead
+        assert not [w for w in caught if "representation of timezones" in str(w.message)]
 
     def test_non_utf8_file_does_not_stop_other_inputs(self, tmp_path):
         good = synth_csv(tmp_path / "good.csv", length=2000, kind="iid", seed=8)
@@ -257,6 +262,9 @@ INVALID_CONFIGS = {
     "unknown_binning": ({"binning": "log"}, "binning"),
     "zero_workers": ({"max_workers": 0}, "max_workers"),
     "zero_ensemble": ({"ensemble": 0}, "ensemble"),
+    "negative_seed": ({"seed": -1}, "seed"),
+    "split_date_not_a_date": ({"split_date": "1990-13-01"}, "split_date"),
+    "split_date_nat": ({"split_date": "NaT"}, "split_date"),
     "open_without_close": ({"session_open": "09:00"}, "session_close"),
     "close_without_open": ({"session_close": "15:00"}, "session_open"),
     "gaps_without_session": ({"drop_session_gaps": True}, "drop_session_gaps"),
@@ -504,6 +512,31 @@ def test_surrogate_seeds_run_on_pool_threads(tmp_path, monkeypatch):
     assert len(threads) > 1
 
 
+def test_seeds_start_while_a_later_unit_runs(tmp_path, monkeypatch):
+    # unit b waits up to 5 s for a seed of unit a to start on the other thread
+    seeding, seen = threading.Event(), []
+    analyze_one, seed_rows = volintervals.pipeline._analyze_one, volintervals.pipeline._seed_rows
+
+    def waiting_analyze_one(prices, cfg, outdir):
+        if prices.instrument_id == "b":
+            seen.append(seeding.wait(5))
+        return analyze_one(prices, cfg, outdir)
+
+    def noting_seed_rows(*args):
+        seeding.set()
+        return seed_rows(*args)
+
+    monkeypatch.setattr(volintervals.pipeline, "_analyze_one", waiting_analyze_one)
+    monkeypatch.setattr(volintervals.pipeline, "_seed_rows", noting_seed_rows)
+    monkeypatch.setattr(volintervals.pipeline, "_usable_cpus", lambda: 2)
+    inputs = [str(synth_csv(tmp_path / f"{name}.csv", length=3000, seed=k))
+              for k, name in enumerate("ab")]
+    report = run_pipeline(AnalysisConfig(inputs=inputs, thresholds=[1.0], ensemble=4,
+                                         max_workers=2, out_dir=str(tmp_path / "out")))
+    assert report["exit_code"] == 0
+    assert seen == [True]
+
+
 def _tree(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -584,7 +617,8 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="wat"):
             load_config(f)
 
-    @pytest.mark.parametrize("key, value", [("bins", "x"), ("q", "1,abc"), ("seed", "1.5")])
+    @pytest.mark.parametrize("key, value", [("bins", "x"), ("q", "1,abc"), ("seed", "1.5"),
+                                            ("drop_session_gaps", "ture")])
     def test_bad_value_names_line_and_key(self, tmp_path, key, value):
         f = tmp_path / "cfg"
         f.write_text(f"input = a.csv\nq = 1\n{key} = {value}\n")
@@ -592,10 +626,21 @@ class TestConfigFile:
             load_config(f)
         assert str(exc.value) == f"{f}:3: bad value for {key}: {value!r}"
 
+    def test_unset_keys_keep_analysis_defaults(self, tmp_path):
+        f = tmp_path / "cfg"
+        f.write_text("input = a.csv\n")
+        assert load_config(f) == AnalysisConfig(inputs=["a.csv"])
+
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
+        # it redirects analyze, whatever --out says, and no subcommand
+        csv = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=5)
         monkeypatch.setenv("VOLINTERVALS_OUT", str(tmp_path / "envout"))
-        cfg = AnalysisConfig(inputs=["a.csv"], thresholds=[1.0], out_dir="ignored")
-        assert cfg.out_dir == str(tmp_path / "envout")
+        assert main(["analyze", str(csv), "--q", "1", "--ensemble", "2",
+                     "--out", str(tmp_path / "ignored")]) == 0
+        assert (tmp_path / "envout" / "s" / "summary.json").exists()
+        assert main(["intervals", str(csv), "--q", "1", "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "intervals_q1.tsv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["envout", "o", "s.csv"]
 
 
 class TestCli:
@@ -674,6 +719,42 @@ class TestCli:
                 m = re.fullmatch(r"(.+)_q([\d.]+)(_k\d+)?\.tsv", f.name)
                 twin = tmp_path / "a" / "s" / f"q{m[2]}" / f"{m[1]}{m[3] or ''}.tsv"
                 assert f.read_bytes() == twin.read_bytes(), f.name
+
+    def test_typed_flags_override_the_config_file(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+        csv = synth_csv(tmp_path / "s.csv", length=10000, kind="correlated", seed=6)
+        config = tmp_path / "c.cfg"
+        config.write_text(f"input = {csv}\nq = 1\nseed = 3\nensemble = 4\nbins = 12\n"
+                          f"out = {tmp_path / 'file_out'}\n")
+        typed = ["--q", "2", "--seed", "7", "--ensemble", "9"]
+        assert main(["analyze", "--config", str(config), *typed,
+                     "--out", str(tmp_path / "typed")]) == 0
+        # the file's bins stay, everything typed wins
+        assert main(["analyze", str(csv), *typed, "--bins", "12",
+                     "--out", str(tmp_path / "plain")]) == 0
+        assert not (tmp_path / "file_out").exists()
+        assert _tree(tmp_path / "typed") == _tree(tmp_path / "plain")
+        assert (tmp_path / "typed" / "s" / "q2" / "cluster_surrogate.tsv").read_text().startswith(
+            "# seeds=9\n")
+
+    def test_typed_values_replace_the_file_before_it_is_checked(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+        csv = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=5)
+        config = tmp_path / "c.cfg"
+        config.write_text("q = 1\nseed = -1\nensemble = 2\n")  # no input, a bad seed
+        assert main(["analyze", "--config", str(config), str(csv), "--seed", "4",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "s" / "q1" / "cluster_surrogate.tsv").exists()
+
+    @pytest.mark.parametrize("config", [None, "q = 1\n"], ids=["no_config", "config_without_input"])
+    def test_analyze_without_inputs_is_a_config_error(self, tmp_path, capsys, config):
+        argv = ["analyze", "--out", str(tmp_path / "o")]
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: no input files configured\n"
+        assert not (tmp_path / "o").exists()
 
     def test_analyze_subcommand_exit_codes(self, tmp_path):
         csv = synth_csv(tmp_path / "s.csv", length=10000, kind="correlated", seed=6)
