@@ -14,7 +14,7 @@ import math
 import os
 import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,11 +91,8 @@ class AnalysisConfig:
                            ("max_workers", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
-        try:  # numpy reads "NaT" as a date
-            if self.split_date and np.isnat(np.datetime64(self.split_date)):
-                raise ValueError
-        except ValueError:
-            raise ConfigError(f"split_date must be a date, got {self.split_date!r}") from None
+        if self.split_date:
+            _split_date(self.split_date)
         if bool(self.session_open) != bool(self.session_close):
             raise ConfigError("session_open and session_close must be given together")
         if self.drop_session_gaps and not self.session_open:
@@ -110,7 +107,11 @@ class AnalysisConfig:
 def load_config(path, **overrides) -> AnalysisConfig:
     """Parse a key=value config file into an AnalysisConfig, `overrides` replacing its values."""
     kw: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"{path}: cannot read config file: {getattr(exc, 'strerror', exc)}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -173,6 +174,21 @@ def _clock_defect(text: str) -> str | None:
     if fraction.isdigit() and (fraction.strip("0") or len(fraction) > 9):
         return "fractions of a second are not supported"
     return None
+
+
+def _split_date(text: str) -> np.datetime64:
+    """A split date by the rule of a CSV timestamp; ConfigError if it breaks that rule."""
+    if defect := _clock_defect(text):
+        raise ConfigError(f"split_date must be a date, got {text!r}: {defect}")
+    try:
+        with warnings.catch_warnings():  # numpy warns about time zones before it
+            warnings.filterwarnings("ignore", "no explicit representation of timezones")
+            cut = np.datetime64(text)  # rejects text after a time
+        if np.isnat(cut):  # numpy reads "NaT" as a date
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"split_date must be a date, got {text!r}") from None
+    return cut
 
 
 def ingest_csv(path) -> PriceSeries:
@@ -266,7 +282,7 @@ def write_csv(series: PriceSeries, path) -> None:
 
 def split_by_date(series: PriceSeries, cut) -> tuple[PriceSeries, PriceSeries]:
     """Split into (strictly before cut, from cut on); both parts non-empty."""
-    cut = np.datetime64(cut)
+    cut = _split_date(cut) if isinstance(cut, str) else np.datetime64(cut)
     ts = series.timestamps
     n_before = int(np.searchsorted(ts, cut, side="left"))
     if n_before < 2 or ts.size - n_before < 2:
@@ -415,24 +431,6 @@ def _envelope(rows):
     return np.column_stack([np.arange(1, _SURROGATE_KMAX + 1), mean, mean - 3 * sd, mean + 3 * sd])
 
 
-def _write_surrogates(summary: dict, passed: dict, seed_rows: list, outdir: Path) -> None:
-    """Each passed q's cluster_surrogate.tsv and q_summary, from its rows of every seed.
-
-    A q with a failing seed gets that seed's error instead, and the unit's
-    errors stay in threshold order.
-    """
-    for (q, stats), rows in zip(passed.items(), zip(*seed_rows)):
-        env = _envelope(rows)
-        if isinstance(env, ValueError):
-            summary["errors"].append({"instrument": summary["instrument"], "q": q,
-                                      "stage": "surrogate", "error": str(env)})
-            continue
-        _write_tsv(outdir / f"q{q:g}" / "cluster_surrogate.tsv", ("k", "mean", "lo", "hi"),
-                   tuple(env.T), f"seeds={len(rows)}")
-        summary["per_q"][f"{q:g}"] = stats
-    summary["errors"].sort(key=lambda e: e["q"])
-
-
 def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
     """Normalized volatility, intraday-detrended when cfg names a session,
     and the session id of every sample (None without a session)."""
@@ -478,24 +476,10 @@ def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
         yield f"wrote {'cluster' if name == 'clusters' else name} statistics to {out}"
 
 
-def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path):
+def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
     """Every stage but the surrogate on one unit, writing its TSVs and collapse_matrix.json.
-
-    Returns the unit's summary, its volatility (None if that failed) and
-    the q_summary of each threshold that passed every stage, in ascending q.
-    """
-    summary: dict = {"instrument": prices.instrument_id, "n_samples": len(prices), "per_q": {},
-                     "gaps": gap_report(prices)}
-    try:
-        vol, session_ids = _volatility(prices, cfg)
-    except ValueError as exc:  # constant prices, a sample outside the session, detrending
-        summary["errors"] = [{"instrument": prices.instrument_id, "q": None,
-                              "stage": "volatility", "error": str(exc)}]
-        return summary, None, {}
-    if session_ids is not None:
-        summary["detrended"] = True
-
-    seqs, errors = {}, {}
+    Returns per threshold its q_summary, or the (stage, error) that stopped it."""
+    seqs, outcomes = {}, []
     for q in cfg.thresholds:
         stage = "extract"
         try:
@@ -505,17 +489,16 @@ def _analyze_one(prices: PriceSeries, cfg: AnalysisConfig, outdir: Path):
             for stage, tables in STAGES.values():
                 for t in tables(seq, cfg):
                     _write_tsv(outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv", t.header, t.columns)
+            outcomes.append(q_summary(seq))
         except ValueError as exc:  # InsufficientEvents/PairsError included
-            errors[q] = {"instrument": prices.instrument_id, "q": q,
-                         "stage": stage, "error": str(exc)}
+            outcomes.append((stage, exc))
 
     if len(seqs) >= 2:
         qs = sorted(seqs)
         mat = collapse_distance([seqs[q] for q in qs])
         _write_json(outdir / "collapse_matrix.json",
                     {"q": [f"{q:g}" for q in qs], "ks_distance": mat.tolist()})
-    summary["errors"] = [errors[q] for q in cfg.thresholds if q in errors]
-    return summary, vol, {q: q_summary(seq) for q, seq in seqs.items() if q not in errors}
+    return outcomes
 
 
 def _usable_cpus() -> int:
@@ -534,47 +517,64 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
     succeeded.
     """
     out = Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
-    units = []  # (series, outdir)
     report: dict = {"instruments": [], "errors": []}
-    for path in cfg.inputs:
-        try:
-            series = ingest_csv(path)
-        except IngestError as exc:
-            report["errors"].append({"instrument": str(path), "q": None,
-                                     "stage": "ingest", "error": str(exc)})
-            continue
-        if cfg.split_date:
+    # one pool, each task taking only what this thread knows when it queues it:
+    # per unit, its stages and one shuffle per seed that serves every threshold
+    with ThreadPoolExecutor(max_workers=min(cfg.max_workers, _usable_cpus())) as ex:
+        queued = []  # (summary, outdir, stage task, seed tasks); no tasks if volatility failed
+        for path in cfg.inputs:
             try:
-                pre, post = split_by_date(series, cfg.split_date)
-            except ValueError as exc:
-                report["errors"].append({"instrument": series.instrument_id, "q": None,
-                                         "stage": "split", "error": str(exc)})
+                series = ingest_csv(path)
+            except IngestError as exc:
+                report["errors"].append({"instrument": str(path), "q": None,
+                                         "stage": "ingest", "error": str(exc)})
                 continue
-            units.append((pre, out / series.instrument_id / "pre"))
-            units.append((post, out / series.instrument_id / "post"))
-        else:
-            units.append((series, out / series.instrument_id))
+            parts = [(series, "")]
+            if cfg.split_date:
+                try:
+                    parts = list(zip(split_by_date(series, cfg.split_date), ("pre", "post")))
+                except ValueError as exc:
+                    report["errors"].append({"instrument": series.instrument_id, "q": None,
+                                             "stage": "split", "error": str(exc)})
+                    continue
+            for prices, part in parts:
+                outdir = out / series.instrument_id / part
+                summary: dict = {"instrument": prices.instrument_id, "n_samples": len(prices),
+                                 "per_q": {}, "gaps": gap_report(prices), "errors": []}
+                try:
+                    vol, session_ids = _volatility(prices, cfg)
+                except ValueError as exc:  # constant prices, a sample outside the session, detrending
+                    summary["errors"].append({"instrument": prices.instrument_id, "q": None,
+                                              "stage": "volatility", "error": str(exc)})
+                    queued.append((summary, outdir, None, []))
+                    continue
+                if session_ids is not None:
+                    summary["detrended"] = True
+                n_seeds = cfg.ensemble
+                try:  # no intervals at the lowest q means none at any q, so nothing to shuffle
+                    extract_intervals(vol, cfg.thresholds[0], session_ids=session_ids,
+                                      drop_session_gaps=cfg.drop_session_gaps)
+                except ValueError:
+                    n_seeds = 0
+                queued.append((summary, outdir, ex.submit(_analyze_one, vol, session_ids, cfg, outdir),
+                              [ex.submit(_seed_rows, vol, cfg.thresholds, cfg.seed + i)
+                               for i in range(n_seeds)]))
 
-    if units:
-        # one pool, in which no task waits on another: a task per unit, then,
-        # queued as soon as its unit returns, one shuffle per (unit, seed)
-        # serving all of the unit's thresholds; this thread then writes each
-        # unit's surrogates and summary in input order
-        with ThreadPoolExecutor(max_workers=min(cfg.max_workers, _usable_cpus())) as ex:
-            analyzed = {ex.submit(_analyze_one, series, cfg, outdir): outdir
-                        for series, outdir in units}
-            seeds = {}
-            for unit in as_completed(analyzed):
-                _, vol, passed = unit.result()
-                seeds[unit] = [ex.submit(_seed_rows, vol, list(passed), cfg.seed + i)
-                               for i in range(cfg.ensemble if passed else 0)]
-            for unit, outdir in analyzed.items():
-                summary, _, passed = unit.result()
-                if passed:
-                    _write_surrogates(summary, passed, [f.result() for f in seeds[unit]], outdir)
-                _write_json(outdir / "summary.json", summary)
-                report["instruments"].append(summary)
-                report["errors"].extend(summary["errors"])
+        for summary, outdir, stages, seeds in queued:
+            for i, (q, outcome) in enumerate(zip(cfg.thresholds, stages.result() if stages else [])):
+                # every seed returned one entry per threshold; a q that passed every stage has seeds
+                env = _envelope([f.result()[i] for f in seeds]) if isinstance(outcome, dict) else None
+                if isinstance(env, np.ndarray):
+                    _write_tsv(outdir / f"q{q:g}" / "cluster_surrogate.tsv", ("k", "mean", "lo", "hi"),
+                               tuple(env.T), f"seeds={len(seeds)}")
+                    summary["per_q"][f"{q:g}"] = outcome
+                else:
+                    stage, exc = outcome if env is None else ("surrogate", env)
+                    summary["errors"].append({"instrument": summary["instrument"], "q": q,
+                                              "stage": stage, "error": str(exc)})
+            _write_json(outdir / "summary.json", summary)
+            report["instruments"].append(summary)
+            report["errors"].extend(summary["errors"])
     report["exit_code"] = 0 if not report["errors"] else 1
     _write_json(out / "report.json", report)
     return report

@@ -37,6 +37,7 @@ from volintervals.pipeline import (
     _analyze_one,
     _envelope,
     _seed_rows,
+    _volatility,
     _write_json,
     load_config,
 )
@@ -265,6 +266,10 @@ INVALID_CONFIGS = {
     "negative_seed": ({"seed": -1}, "seed"),
     "split_date_not_a_date": ({"split_date": "1990-13-01"}, "split_date"),
     "split_date_nat": ({"split_date": "NaT"}, "split_date"),
+    "split_date_utc_offset": ({"split_date": "1990-01-01T09:00+09:00"}, "split_date.*UTC offsets"),
+    "split_date_z": ({"split_date": "1990-01-01T00:00Z"}, "split_date.*UTC offsets"),
+    "split_date_fraction": ({"split_date": "1990-01-01T00:00:00.5"}, "split_date.*fractions"),
+    "split_date_text_after_time": ({"split_date": "1990-01-01T00:00x"}, "split_date"),
     "open_without_close": ({"session_open": "09:00"}, "session_close"),
     "close_without_open": ({"session_close": "15:00"}, "session_open"),
     "gaps_without_session": ({"drop_session_gaps": True}, "drop_session_gaps"),
@@ -305,8 +310,12 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("override, key", INVALID_CONFIGS.values(), ids=list(INVALID_CONFIGS))
     def test_invalid_config_is_config_error(self, override, key):
-        with pytest.raises(ConfigError, match=key):
-            AnalysisConfig(**{"inputs": ["x.csv"], "thresholds": [1.0], **override})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError, match=key):
+                AnalysisConfig(**{"inputs": ["x.csv"], "thresholds": [1.0], **override})
+        # the error says what is wrong; a warning about time zones would mislead
+        assert not [w for w in caught if "representation of timezones" in str(w.message)]
 
     def test_json_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
@@ -413,8 +422,8 @@ class TestRunPipeline:
                             lambda seq, n: calls.append(seq.threshold_q) or blocks(seq, n))
         prices = ingest_csv(synth_csv(tmp_path / "inst.csv", length=20000, seed=1))
         cfg = AnalysisConfig(inputs=["inst.csv"], thresholds=[1.0, 2.0], ensemble=2)
-        summary, _, passed = _analyze_one(prices, cfg, tmp_path / "out")
-        assert summary["errors"] == [] and list(passed) == [1.0, 2.0]
+        outcomes = _analyze_one(*_volatility(prices, cfg), cfg, tmp_path / "out")
+        assert [sorted(o) for o in outcomes] == [["count", "mean_interval", "poisson_deviation"]] * 2
         assert calls == [1.0] * 3 + [2.0] * 3
 
     @pytest.mark.filterwarnings("ignore:all intervals identical")
@@ -512,15 +521,14 @@ def test_surrogate_seeds_run_on_pool_threads(tmp_path, monkeypatch):
     assert len(threads) > 1
 
 
-def test_seeds_start_while_a_later_unit_runs(tmp_path, monkeypatch):
-    # unit b waits up to 5 s for a seed of unit a to start on the other thread
+def test_seeds_start_while_their_unit_runs_its_stages(tmp_path, monkeypatch):
+    # the unit's stage task waits up to 5 s for one of its seeds to start on the other thread
     seeding, seen = threading.Event(), []
     analyze_one, seed_rows = volintervals.pipeline._analyze_one, volintervals.pipeline._seed_rows
 
-    def waiting_analyze_one(prices, cfg, outdir):
-        if prices.instrument_id == "b":
-            seen.append(seeding.wait(5))
-        return analyze_one(prices, cfg, outdir)
+    def waiting_analyze_one(*args):
+        seen.append(seeding.wait(5))
+        return analyze_one(*args)
 
     def noting_seed_rows(*args):
         seeding.set()
@@ -529,12 +537,25 @@ def test_seeds_start_while_a_later_unit_runs(tmp_path, monkeypatch):
     monkeypatch.setattr(volintervals.pipeline, "_analyze_one", waiting_analyze_one)
     monkeypatch.setattr(volintervals.pipeline, "_seed_rows", noting_seed_rows)
     monkeypatch.setattr(volintervals.pipeline, "_usable_cpus", lambda: 2)
-    inputs = [str(synth_csv(tmp_path / f"{name}.csv", length=3000, seed=k))
-              for k, name in enumerate("ab")]
-    report = run_pipeline(AnalysisConfig(inputs=inputs, thresholds=[1.0], ensemble=4,
+    csv = synth_csv(tmp_path / "inst.csv", length=3000, seed=1)
+    report = run_pipeline(AnalysisConfig(inputs=[str(csv)], thresholds=[1.0], ensemble=4,
                                          max_workers=2, out_dir=str(tmp_path / "out")))
     assert report["exit_code"] == 0
     assert seen == [True]
+
+
+def test_unit_without_intervals_at_any_threshold_shuffles_nothing(tmp_path, monkeypatch):
+    seeds = []
+    shuffle = volintervals.pipeline.shuffle_volatility
+    monkeypatch.setattr(volintervals.pipeline, "shuffle_volatility",
+                        lambda vol, seed: seeds.append(seed) or shuffle(vol, seed))
+    csv = synth_csv(tmp_path / "inst.csv", length=2000, kind="iid", seed=4)
+    out = tmp_path / "out"
+    report = run_pipeline(AnalysisConfig(inputs=[str(csv)], thresholds=[50.0, 60.0], ensemble=10,
+                                         out_dir=str(out)))
+    assert [(e["q"], e["stage"]) for e in report["errors"]] == [(50.0, "extract"), (60.0, "extract")]
+    assert json.loads((out / "inst" / "summary.json").read_text())["per_q"] == {}
+    assert seeds == []
 
 
 def _tree(root: Path) -> dict:
@@ -754,6 +775,25 @@ class TestCli:
             argv += ["--config", str(tmp_path / "c.cfg")]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: no input files configured\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, kind):
+        config = tmp_path / "c.cfg"
+        if kind == "directory":
+            config.mkdir()
+        elif kind == "not_utf8":
+            config.write_bytes(b"q = 1\nout = \xe9\n")
+        assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: cannot read config file: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_split_date_with_an_offset_is_rejected(self, tmp_path, capsys):
+        csv = synth_csv(tmp_path / "s.csv", length=3000, kind="iid", seed=6)
+        assert main(["split", str(csv), "--split-date", "1988-06-01T09:00+09:00",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "UTC offsets are not supported" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_analyze_subcommand_exit_codes(self, tmp_path):
