@@ -277,7 +277,7 @@ def write_csv(series: PriceSeries, path) -> None:
     with _atomic(path) as fh:
         fh.write("timestamp,price\n")
         for ts, p in zip(series.timestamps, series.prices):
-            fh.write(f"{_iso(ts)},{float(p)!r}\n")
+            fh.write(f"{np.datetime_as_string(ts, unit='s')},{float(p)!r}\n")
 
 
 def split_by_date(series: PriceSeries, cut) -> tuple[PriceSeries, PriceSeries]:
@@ -298,10 +298,6 @@ def split_by_date(series: PriceSeries, cut) -> tuple[PriceSeries, PriceSeries]:
 
 # ---------------------------------------------------------------------------
 # emission helpers
-
-def _iso(ts) -> str:
-    return np.datetime_as_string(ts, unit="s")
-
 
 @contextmanager
 def _atomic(path):
@@ -493,11 +489,10 @@ def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
         except ValueError as exc:  # InsufficientEvents/PairsError included
             outcomes.append((stage, exc))
 
-    if len(seqs) >= 2:
-        qs = sorted(seqs)
-        mat = collapse_distance([seqs[q] for q in qs])
+    if len(seqs) >= 2:  # in ascending q, as cfg.thresholds are
+        mat = collapse_distance(list(seqs.values()))
         _write_json(outdir / "collapse_matrix.json",
-                    {"q": [f"{q:g}" for q in qs], "ks_distance": mat.tolist()})
+                    {"q": [f"{q:g}" for q in seqs], "ks_distance": mat.tolist()})
     return outcomes
 
 
@@ -550,28 +545,30 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
                     continue
                 if session_ids is not None:
                     summary["detrended"] = True
-                n_seeds = cfg.ensemble
-                try:  # no intervals at the lowest q means none at any q, so nothing to shuffle
-                    extract_intervals(vol, cfg.thresholds[0], session_ids=session_ids,
-                                      drop_session_gaps=cfg.drop_session_gaps)
-                except ValueError:
-                    n_seeds = 0
+                try:  # as q rises intervals only thin out, so too few for 'conditional' here fail every q
+                    n_low = len(extract_intervals(vol, cfg.thresholds[0], session_ids=session_ids,
+                                                  drop_session_gaps=cfg.drop_session_gaps))
+                except ValueError:  # not even two events
+                    n_low = 0
+                n_seeds = cfg.ensemble if n_low >= 2 * cfg.n_subsets else 0
                 queued.append((summary, outdir, ex.submit(_analyze_one, vol, session_ids, cfg, outdir),
                               [ex.submit(_seed_rows, vol, cfg.thresholds, cfg.seed + i)
                                for i in range(n_seeds)]))
 
         for summary, outdir, stages, seeds in queued:
             for i, (q, outcome) in enumerate(zip(cfg.thresholds, stages.result() if stages else [])):
-                # every seed returned one entry per threshold; a q that passed every stage has seeds
-                env = _envelope([f.result()[i] for f in seeds]) if isinstance(outcome, dict) else None
-                if isinstance(env, np.ndarray):
-                    _write_tsv(outdir / f"q{q:g}" / "cluster_surrogate.tsv", ("k", "mean", "lo", "hi"),
-                               tuple(env.T), f"seeds={len(seeds)}")
-                    summary["per_q"][f"{q:g}"] = outcome
-                else:
-                    stage, exc = outcome if env is None else ("surrogate", env)
-                    summary["errors"].append({"instrument": summary["instrument"], "q": q,
-                                              "stage": stage, "error": str(exc)})
+                if not isinstance(outcome, dict):
+                    stage, exc = outcome
+                else:  # q passed every stage, so the unit has seeds, each with a row per q
+                    env = _envelope([f.result()[i] for f in seeds])
+                    if not isinstance(env, ValueError):
+                        _write_tsv(outdir / f"q{q:g}" / "cluster_surrogate.tsv", ("k", "mean", "lo", "hi"),
+                                   tuple(env.T), f"seeds={len(seeds)}")
+                        summary["per_q"][f"{q:g}"] = outcome
+                        continue
+                    stage, exc = "surrogate", env
+                summary["errors"].append({"instrument": summary["instrument"], "q": q,
+                                          "stage": stage, "error": str(exc)})
             _write_json(outdir / "summary.json", summary)
             report["instruments"].append(summary)
             report["errors"].extend(summary["errors"])

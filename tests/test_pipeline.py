@@ -558,6 +558,22 @@ def test_unit_without_intervals_at_any_threshold_shuffles_nothing(tmp_path, monk
     assert seeds == []
 
 
+def test_unit_too_sparse_for_conditional_at_any_threshold_shuffles_nothing(tmp_path, monkeypatch):
+    # q = 2.9 and 3.1 leave 6 and 3 intervals: they extract, but 'conditional' needs 2 * 8
+    seeds = []
+    shuffle = volintervals.pipeline.shuffle_volatility
+    monkeypatch.setattr(volintervals.pipeline, "shuffle_volatility",
+                        lambda vol, seed: seeds.append(seed) or shuffle(vol, seed))
+    csv = synth_csv(tmp_path / "inst.csv", length=2000, kind="iid", seed=4)
+    out = tmp_path / "out"
+    report = run_pipeline(AnalysisConfig(inputs=[str(csv)], thresholds=[2.9, 3.1], ensemble=10,
+                                         out_dir=str(out)))
+    assert [(e["q"], e["stage"]) for e in report["errors"]] == [(2.9, "conditional"),
+                                                                (3.1, "conditional")]
+    assert json.loads((out / "inst" / "summary.json").read_text())["per_q"] == {}
+    assert seeds == []
+
+
 def _tree(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
