@@ -140,7 +140,7 @@ def _cmd_stage(args) -> int:
 def _cmd_analyze(args) -> int:
     report = run_pipeline(_config(args))
     for s in report["instruments"]:
-        qs = ", ".join(f"q={q}: <tau>={v['mean_interval']:.10g}" for q, v in sorted(s["per_q"].items()))
+        qs = ", ".join(f"q={q}: <tau>={v['mean_interval']:.10g}" for q, v in s["per_q"].items())
         print(f"{s['instrument']}: {qs}")
     if report["errors"]:
         print(json.dumps(report["errors"], indent=2), file=sys.stderr)

@@ -107,6 +107,7 @@ class AnalysisConfig:
 def load_config(path, **overrides) -> AnalysisConfig:
     """Parse a key=value config file into an AnalysisConfig, `overrides` replacing its values."""
     kw: dict = {}
+    first_line: dict = {}  # key -> the line that set it
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
@@ -135,6 +136,9 @@ def load_config(path, **overrides) -> AnalysisConfig:
             raise
         except ValueError as exc:  # int(), float() or .index() of the value
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        if key != "input" and key in first_line:  # every `input` line adds a file
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}, first set on line {first_line[key]}")
+        first_line[key] = lineno
     return AnalysisConfig(**{**kw, **overrides})
 
 
@@ -191,19 +195,15 @@ def _split_date(text: str) -> np.datetime64:
     return cut
 
 
-def ingest_csv(path) -> PriceSeries:
-    """Read a UTF-8 `timestamp,price` CSV into a PriceSeries.
+def _outside_years(ts: np.ndarray) -> np.ndarray:
+    """Mask of NaT (an empty or 'NaT' field) and of years that overflow or are
+    not calendar years, such as Unix epoch seconds read as a year."""
+    years = ts.astype("datetime64[Y]").astype(np.int64) + 1970
+    return (years < 1) | (years > 9999)
 
-    Timestamps are wall-clock times in whole seconds: a UTC offset or a
-    non-zero fraction of a second is an error. Unsorted rows are sorted
-    with a warning; duplicate timestamps are a hard error. The sampling
-    interval is the median timestamp step. Bad content raises an
-    IngestError naming the file and the line (the last line of a quoted
-    record that spans several), except for a file with fewer than 2 rows.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise IngestError(f"{path}: no such file")
+
+def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and prices of any CSV, row by row; IngestError naming the line."""
     timestamps, prices = [], []
     # numpy warns about time zones before it rejects text after a time
     with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
@@ -246,14 +246,96 @@ def ingest_csv(path) -> PriceSeries:
     if len(prices) < 2:
         raise IngestError(f"{path}: need at least 2 rows")
     ts = np.array(timestamps, dtype="datetime64[s]")
-    # NaT (an empty or 'NaT' field) and years that overflow or are not
-    # calendar years, such as Unix epoch seconds read as a year
-    years = ts.astype("datetime64[Y]").astype(np.int64) + 1970
-    bad = np.flatnonzero((years < 1) | (years > 9999))
+    bad = np.flatnonzero(_outside_years(ts))
     if bad.size:
         raise IngestError(f"{path}: line {_data_row_line(path, bad[0])}: bad timestamp "
                           f"{timestamps[bad[0]]}, need a date in years 1-9999")
-    p = np.array(prices)
+    return ts, np.array(prices)
+
+
+# bytes read per chunk of the array path: the lists of one chunk's cells are
+# its transient memory (the whole file split at once doubled the peak RSS).
+# Two chunks make the csv module's default field limit, which no line of a
+# plain file reaches.
+_CHUNK_BYTES = 1 << 16
+# a '-' after the time separator, spaces read as 'T': the sign of a UTC offset
+_CLOCK_DASH = re.compile(r"T[^\n-]*+-")
+
+
+def _chunks(fh) -> Iterator[bytes]:
+    """Whole lines, about _CHUNK_BYTES at a time, the last given a line end if it
+    has none; b"" once a line outgrows a chunk."""
+    rest = b""
+    while block := fh.read(_CHUNK_BYTES):
+        chunk = rest + block
+        cut = chunk.rfind(b"\n") + 1
+        chunk, rest = chunk[:cut], chunk[cut:]
+        if chunk or len(rest) > _CHUNK_BYTES:
+            yield chunk
+    if rest:
+        yield rest + b"\n"
+
+
+def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """Timestamps and prices of a plain CSV, parsed as arrays a chunk at a time;
+    None for anything else, which is left to _read_rows.
+
+    Plain is the exact header `timestamp,price`, then ASCII lines shorter
+    than two chunks of exactly two fields, without quotes or carriage
+    returns. No timestamp has a space around it, a '+', 'Z', 'z' or '.', or
+    a '-' after its time separator; all parse, in years 1-9999, and all
+    prices parse as finite and positive; there are at least 2 rows. Such a
+    file is one that _read_rows reads, to the same arrays.
+    """
+    stamps, prices = [], []
+    # numpy warns about time zones before it rejects text after a time
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "no explicit representation of timezones")
+        if fh.readline() != b"timestamp,price\n":
+            return None
+        for chunk in _chunks(fh):
+            if not chunk or not chunk.isascii() or b'"' in chunk or b"\r" in chunk:
+                return None
+            b = np.frombuffer(chunk, np.uint8)
+            commas, ends = np.flatnonzero(b == ord(",")), np.flatnonzero(b == ord("\n"))
+            # one comma on each line: commas and line ends alternate
+            if commas.size != ends.size or (commas > ends).any() or (commas[1:] < ends[:-1]).any():
+                return None
+            cells = chunk[:-1].decode("ascii").replace("\n", ",").split(",")
+            column = "\n".join(cells[0::2])
+            if (any(c in column for c in "+.Zz") or " \n" in column or "\n " in column
+                    or column.startswith(" ") or column.endswith(" ")
+                    or _CLOCK_DASH.search(column.replace(" ", "T"))):
+                return None
+            try:
+                stamps.append(np.array(cells[0::2], dtype="datetime64[s]"))
+                prices.append(np.array(cells[1::2], dtype=float))
+            except ValueError:
+                return None
+    if not stamps:
+        return None
+    ts, p = np.concatenate(stamps), np.concatenate(prices)
+    if ts.size < 2 or not (np.isfinite(p) & (p > 0)).all() or _outside_years(ts).any():
+        return None
+    return ts, p
+
+
+def ingest_csv(path) -> PriceSeries:
+    """Read a UTF-8 `timestamp,price` CSV into a PriceSeries.
+
+    Timestamps are wall-clock times in whole seconds: a UTC offset or a
+    non-zero fraction of a second is an error. Unsorted rows are sorted
+    with a warning; duplicate timestamps are a hard error. The sampling
+    interval is the median timestamp step. Bad content raises an
+    IngestError naming the file and the line (the last line of a quoted
+    record that spans several), except for a file with fewer than 2 rows.
+    A plain file is parsed as arrays, anything else row by row, with the
+    same result and the same errors.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise IngestError(f"{path}: no such file")
+    ts, p = _read_plain(path) or _read_rows(path)
     order = np.argsort(ts, kind="stable")
     if not np.array_equal(order, np.arange(ts.size)):
         warnings.warn(f"{path}: timestamps out of order; sorting")

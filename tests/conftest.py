@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from volintervals import VolatilitySeries
 from volintervals.synthetic import correlated_gaussian
+
+# a longer search for the properties that CI runs on their own: --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

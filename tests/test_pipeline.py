@@ -8,6 +8,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from volintervals.pipeline import (
     IngestError,
     _analyze_one,
     _envelope,
+    _read_plain,
     _seed_rows,
     _volatility,
     _write_json,
@@ -227,6 +229,101 @@ def test_any_csv_text_is_a_series_or_an_ingest_error_naming_the_line(
         assert not [w for w in caught if "representation of timezones" in str(w.message)]
         assert not np.any(np.isnat(series.timestamps))
         assert series.sampling_interval > np.timedelta64(0, "s")
+
+
+def _ingest_outcome(read, path):
+    """What a reader makes of a file: the series (prices as bits) or the error, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            s = read(path)
+            result = (s.instrument_id, s.timestamps.tolist(), s.prices.view(np.int64).tolist(),
+                      s.sampling_interval)
+        except IngestError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _row_reader(path):
+    with mock.patch.object(volintervals.pipeline, "_read_plain", lambda path: None):
+        return ingest_csv(path)
+
+
+PLAIN_ROWS = st.tuples(
+    st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1)),
+    st.sampled_from(["T", " "]),
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+).map(lambda r: f"{r[0].replace(microsecond=0).isoformat(r[1])},{r[2]!r}")
+
+
+@given(header=st.sampled_from(["timestamp,price"] * 8 + ["Timestamp , PRICE", "timestamp,price,volume"]),
+       rows=st.lists(PLAIN_ROWS, max_size=20),
+       others=st.just([]) | st.lists(st.tuples(st.integers(min_value=0), ROWS), max_size=2),
+       newline=st.sampled_from(["\n"] * 8 + ["\r\n"]), final_newline=st.booleans(),
+       chunk_bytes=st.sampled_from([1 << 16, 1, 7, 50]))
+def test_ingest_matches_the_row_reader(tmp_path_factory, header, rows, others, newline,
+                                       final_newline, chunk_bytes):
+    rows = list(rows)
+    for at, row in others:  # mostly plain files, now and then a row of any text
+        rows.insert(at % (len(rows) + 1), row)
+    text = newline.join([header, *rows]) + (newline if final_newline else "")
+    f = tmp_path_factory.mktemp("ingest") / "p.csv"
+    f.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(volintervals.pipeline, "_CHUNK_BYTES", chunk_bytes):
+        assert _ingest_outcome(ingest_csv, f) == _ingest_outcome(_row_reader, f)
+
+
+def _at(line, *rows):
+    """An edit of a file's lines that puts `rows` at `line` (the header is line 1)."""
+    return lambda lines: lines[:line - 1] + list(rows) + lines[line - 1:]
+
+
+class TestArrayIngest:
+    def test_plain_file_takes_the_array_path(self, tmp_path):
+        f = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=3)
+        ts, p = _read_plain(f)
+        s = _row_reader(f)
+        assert np.array_equal(ts, s.timestamps) and np.array_equal(p.view(np.int64), s.prices.view(np.int64))
+
+    # edit of a plain file's lines -> the message it must raise (None: it reads as a series)
+    LEFT_TO_ROWS = {
+        "header_with_a_third_column": (lambda lines: ["timestamp,price,volume", *lines[1:]], None),
+        "bad_price_in_a_later_chunk": (_at(4002, "2000-03-01T00:00:00,oops"), "line 4002: bad price 'oops'"),
+        "bad_year_in_a_later_chunk": (_at(4502, "NaT,1"),
+                                      "line 4502: bad timestamp NaT, need a date in years 1-9999"),
+        "not_utf8_past_the_first_chunk": (_at(4202, "2001-01-01T00:00:00,\udce9"),
+                                          "line 4202: not UTF-8 text$"),
+        "quoted_field": (_at(5, '"2001-01-01T00:00:00",1'), None),
+        "crlf": (lambda lines: ["\r\n".join(lines)], None),
+        "cr_line_ends": (lambda lines: [lines[0], "\r".join(lines[1:])], None),
+        "three_fields": (_at(5, "2001-01-01T00:00:00,1,2"), None),
+        "three_fields_then_one": (_at(5, "2001-01-01T00:00:00,1,2001-01-02T00:00:00", "5"),
+                                  "line 6: expected 2 fields"),
+        "utc_offset": (_at(4202, "2001-01-01T09:00:00+09:00,1"),
+                       r"line 4202: bad timestamp '2001-01-01T09:00:00\+09:00': UTC offsets"),
+        "negative_utc_offset": (_at(4202, "2001-01-01 09:00:00-05:00,1"),
+                                "line 4202: bad timestamp '2001-01-01 09:00:00-05:00': UTC offsets"),
+        "fraction": (_at(4202, "2001-01-01T00:00:00.5,1"),
+                     "line 4202: bad timestamp '2001-01-01T00:00:00.5': fractions of a second"),
+        "zero_fraction": (_at(5, "2001-01-01T00:00:00.000,1"), None),
+        "field_over_csv_limit": (_at(5, "2001-01-01T00:00:00," + "0" * 200_000 + "1"),
+                                 "line 5: field larger than field limit"),
+    }
+
+    @pytest.mark.parametrize("case", LEFT_TO_ROWS)
+    def test_anything_not_plain_is_left_to_the_row_reader(self, tmp_path, case):
+        edit, message = self.LEFT_TO_ROWS[case]
+        start = np.datetime64("2000-01-01T00:00:00")
+        rows = [f"{start + np.timedelta64(60 * k, 's')},{100 + k / 7!r}" for k in range(5000)]
+        f = tmp_path / "x.csv"  # about 140 KB, so three chunks and more
+        f.write_bytes("\n".join(edit(["timestamp,price", *rows])).encode("utf-8", "surrogateescape") + b"\n")
+        assert _read_plain(f) is None
+        outcome = _ingest_outcome(ingest_csv, f)
+        assert outcome == _ingest_outcome(_row_reader, f)
+        if message is None:
+            assert not isinstance(outcome[0], str), outcome[0]
+        else:
+            assert re.match(rf"{re.escape(str(f))}: {message}", outcome[0]), outcome[0]
 
 
 class TestSplitByDate:
@@ -663,6 +760,16 @@ class TestConfigFile:
             load_config(f)
         assert str(exc.value) == f"{f}:3: bad value for {key}: {value!r}"
 
+    @pytest.mark.parametrize("key, first, second", [("q", "1", "2"), ("seed", "1", "2"),
+                                                    ("bins", "20", "20"), ("out", "a", "b")])
+    def test_repeated_key_names_line_and_key(self, tmp_path, key, first, second):
+        # a second line does not silently replace the first; only `input` repeats
+        f = tmp_path / "cfg"
+        f.write_text(f"input = a.csv\n{key} = {first}\ninput = b.csv\n{key} = {second}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(f)
+        assert str(exc.value) == f"{f}:4: repeated key {key!r}, first set on line 2"
+
     def test_unset_keys_keep_analysis_defaults(self, tmp_path):
         f = tmp_path / "cfg"
         f.write_text("input = a.csv\n")
@@ -811,6 +918,19 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 2
         assert "UTC offsets are not supported" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_analyze_prints_thresholds_in_ascending_order(self, tmp_path, capsys):
+        # rare large jumps, each above 10 standard deviations, so q=2 and q=10 both pass
+        rng = np.random.default_rng(4)
+        returns = 1e-4 * rng.standard_normal(20000)
+        jumps = rng.choice(returns.size, 40, replace=False)
+        returns[jumps] = 0.05 * rng.choice([-1, 1], jumps.size)
+        ts = np.datetime64("2000-01-01T00:00:00") + np.arange(returns.size) * np.timedelta64(60, "s")
+        write_csv(PriceSeries("jumps", ts, 100 * np.exp(np.cumsum(returns)), np.timedelta64(60, "s")),
+                  tmp_path / "jumps.csv")
+        assert main(["analyze", str(tmp_path / "jumps.csv"), "--q", "2", "--q", "10", "--subsets", "2",
+                     "--ensemble", "2", "--out", str(tmp_path / "o")]) == 0
+        assert re.fullmatch(r"jumps: q=2: <tau>=\S+, q=10: <tau>=\S+\n", capsys.readouterr().out)
 
     def test_analyze_subcommand_exit_codes(self, tmp_path):
         csv = synth_csv(tmp_path / "s.csv", length=10000, kind="correlated", seed=6)
