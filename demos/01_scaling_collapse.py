@@ -9,18 +9,16 @@ each individual distribution is far from the memoryless exponential.
 import numpy as np
 
 from volintervals import (
-    GeneratorSpec,
+    VolatilitySeries,
     collapse_distance,
+    correlated_gaussian,
     extract_intervals,
-    gen_longrange_correlated,
     pdf_estimate,
     poisson_deviation,
     scale_pdf,
 )
 
-vol = gen_longrange_correlated(
-    GeneratorSpec(kind="longrange_correlated", length=2**20,
-                  correlation_exponent=0.3, seed=1))
+vol = VolatilitySeries(np.abs(correlated_gaussian(2**20, 0.3, 1)))
 
 qs = [1.0, 1.5, 2.0]
 seqs = [extract_intervals(vol, q) for q in qs]
@@ -32,7 +30,7 @@ for s in seqs:
 
 print("\nscaled PDF sample points (x = tau/<tau>, y = P*<tau>):")
 for s in seqs:
-    scaled = scale_pdf(pdf_estimate(s, n_bins=16), s.mean_interval, q=s.threshold_q)
+    scaled = scale_pdf(pdf_estimate(s, n_bins=16), s.mean_interval)
     picks = scaled.y > 0
     xs = "  ".join(f"({x:5.2f},{y:6.3f})" for x, y in
                    list(zip(scaled.x[picks], scaled.y[picks]))[:6])

@@ -9,16 +9,14 @@ intervals flattens the effect completely.
 import numpy as np
 
 from volintervals import (
-    GeneratorSpec,
+    VolatilitySeries,
     conditional_mean_curve,
+    correlated_gaussian,
     extract_intervals,
-    gen_longrange_correlated,
     shuffle_intervals,
 )
 
-vol = gen_longrange_correlated(
-    GeneratorSpec(kind="longrange_correlated", length=2**20,
-                  correlation_exponent=0.3, seed=1))
+vol = VolatilitySeries(np.abs(correlated_gaussian(2**20, 0.3, 1)))
 seq = extract_intervals(vol, 1.0)
 
 curve = conditional_mean_curve(seq, n_bins=8)

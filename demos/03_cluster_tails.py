@@ -8,18 +8,16 @@ than the geometric 2^(1-k) law that shuffled volatility obeys.
 import numpy as np
 
 from volintervals import (
-    GeneratorSpec,
+    VolatilitySeries,
     cluster_survival,
     clusters,
+    correlated_gaussian,
     extract_intervals,
-    gen_longrange_correlated,
     median_split,
     shuffle_volatility,
 )
 
-vol = gen_longrange_correlated(
-    GeneratorSpec(kind="longrange_correlated", length=2**20,
-                  correlation_exponent=0.3, seed=1))
+vol = VolatilitySeries(np.abs(correlated_gaussian(2**20, 0.3, 1)))
 
 q = 2.0
 seq = extract_intervals(vol, q)

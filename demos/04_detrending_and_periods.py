@@ -11,16 +11,14 @@ distributions of the two halves agree.
 import numpy as np
 
 from volintervals import (
-    GeneratorSpec,
     VolatilitySeries,
     build_intraday_pattern,
     collapse_distance,
+    correlated_gaussian,
     extract_intervals,
-    gen_longrange_correlated,
     impose_intraday_pattern,
     intraday_detrend,
 )
-from volintervals.synthetic import correlated_gaussian
 
 # --- intraday pattern removal -------------------------------------------
 rng = np.random.default_rng(0)

@@ -40,7 +40,6 @@ from .synthetic import (
     GeneratorSpec,
     correlated_gaussian,
     gen_iid_gaussian,
-    gen_longrange_correlated,
     impose_intraday_pattern,
 )
 

@@ -20,6 +20,7 @@ from .pipeline import (
     IngestError,
     ingest_csv,
     load_config,
+    parse_time,
     run_pipeline,
     run_stage,
     split_by_date,
@@ -103,6 +104,8 @@ def _parse_step(text) -> np.timedelta64:
 
 
 def _cmd_synth(args) -> int:
+    step = _parse_step(args.interval).astype("timedelta64[s]")
+    start = parse_time(args.start, "--start").astype("datetime64[s]")
     if args.kind == "iid":
         g = gen_iid_gaussian(GeneratorSpec(kind="iid_gaussian", length=args.length,
                                            seed=args.seed)).values
@@ -111,11 +114,9 @@ def _cmd_synth(args) -> int:
     # small increments keep exp(cumsum) in floating range for long series
     logp = np.cumsum(1e-4 * g)
     prices = 100.0 * np.exp(logp - logp[0])
-    step = _parse_step(args.interval)
-    start = np.datetime64(args.start).astype("datetime64[s]")
-    ts = start + np.arange(args.length) * step.astype("timedelta64[s]")
+    ts = start + np.arange(args.length) * step
     series = PriceSeries(instrument_id=Path(args.out).stem, timestamps=ts,
-                         prices=prices, sampling_interval=step.astype("timedelta64[s]"))
+                         prices=prices, sampling_interval=step)
     write_csv(series, args.out)
     print(f"wrote {args.out} ({args.length} rows)")
     return 0

@@ -48,7 +48,6 @@ class BinnedPDF:
 class ScaledPDF:
     x: np.ndarray  # tau / <tau>
     y: np.ndarray  # P_q(tau) * <tau>
-    q: float | None = None
 
 
 def _sample(seq) -> np.ndarray:
@@ -57,42 +56,39 @@ def _sample(seq) -> np.ndarray:
     return np.asarray(seq, dtype=float)
 
 
-def pdf_estimate(seq, mode: str = "logarithmic", n_bins: int = 30, bin_edges=None) -> BinnedPDF:
+def pdf_estimate(seq, mode: str = "logarithmic", n_bins: int = 30) -> BinnedPDF:
     """Histogram density of an interval sequence, integral normalized to 1.
 
     Logarithmic mode uses log-spaced edges from min to max interval.
-    Explicit bin_edges override mode/n_bins.
     """
     x = _sample(seq)
     if x.size == 0:
         raise ValueError("cannot estimate a PDF from an empty sequence")
     if mode not in ("linear", "logarithmic"):
         raise ValueError(f"unknown binning mode {mode!r}")
-    if n_bins < 2 and bin_edges is None:
+    if n_bins < 2:
         raise ValueError("need at least 2 bins")
-    if bin_edges is None:
-        lo, hi = float(x.min()), float(x.max())
-        if mode == "logarithmic":
-            if lo == hi:
-                warnings.warn("all intervals identical; falling back to a single linear bin")
-                bin_edges = np.array([lo - 0.5, lo + 0.5])
-                mode = "linear"
-            else:
-                bin_edges = np.geomspace(lo, hi, n_bins + 1)
+    lo, hi = float(x.min()), float(x.max())
+    if mode == "logarithmic":
+        if lo == hi:
+            warnings.warn("all intervals identical; falling back to a single linear bin")
+            bin_edges = np.array([lo - 0.5, lo + 0.5])
+            mode = "linear"
         else:
-            bin_edges = np.linspace(lo, hi, n_bins + 1) if lo < hi else np.array([lo - 0.5, lo + 0.5])
-    bin_edges = np.asarray(bin_edges, dtype=float)
+            bin_edges = np.geomspace(lo, hi, n_bins + 1)
+    else:
+        bin_edges = np.linspace(lo, hi, n_bins + 1) if lo < hi else np.array([lo - 0.5, lo + 0.5])
     counts, bin_edges = np.histogram(x, bins=bin_edges)
     widths = np.diff(bin_edges)
     densities = counts / (x.size * widths)
     return BinnedPDF(bin_edges=bin_edges, densities=densities, counts=counts, binning_mode=mode)
 
 
-def scale_pdf(pdf: BinnedPDF, mean_interval: float, q: float | None = None) -> ScaledPDF:
+def scale_pdf(pdf: BinnedPDF, mean_interval: float) -> ScaledPDF:
     """Rescale a density to collapse coordinates (tau/<tau>, P*<tau>)."""
     if mean_interval <= 0:
         raise ValueError("mean_interval must be positive")
-    return ScaledPDF(x=pdf.bin_centers() / mean_interval, y=pdf.densities * mean_interval, q=q)
+    return ScaledPDF(x=pdf.bin_centers() / mean_interval, y=pdf.densities * mean_interval)
 
 
 def _scaled_sample(s) -> np.ndarray:

@@ -35,7 +35,6 @@ class IntervalSequence:
 
     threshold_q: float
     intervals: np.ndarray  # int64, each >= 1
-    source_length: int
     mean_interval: float = None
 
     def __post_init__(self):
@@ -79,5 +78,5 @@ def extract_intervals(vol, q: float, session_ids=None, drop_session_gaps: bool =
         if not np.any(keep):
             raise InsufficientEventsError(q, 1)
         intervals = intervals[keep]
-    return IntervalSequence(threshold_q=float(q), intervals=intervals, source_length=int(g.size))
+    return IntervalSequence(threshold_q=float(q), intervals=intervals)
 

@@ -35,8 +35,6 @@ class ConditionalMeanCurve:
     bin_centers: np.ndarray  # mean conditioning value per block, / <tau>
     means: np.ndarray  # mean successor per block, / <tau>
     stderr: np.ndarray  # scaled standard errors
-    counts: np.ndarray
-    sums: np.ndarray  # raw integer successor sums per block
 
 
 def conditional_blocks(seq: IntervalSequence, n_subsets: int = 8):
@@ -66,8 +64,7 @@ def conditional_pdfs(seq: IntervalSequence, n_subsets: int = 8,
     curves of different blocks are directly comparable.
     """
     _, succ = conditional_blocks(seq, n_subsets)
-    return [scale_pdf(pdf_estimate(s, mode=mode, n_bins=n_bins), seq.mean_interval,
-                      q=seq.threshold_q) for s in succ]
+    return [scale_pdf(pdf_estimate(s, mode=mode, n_bins=n_bins), seq.mean_interval) for s in succ]
 
 
 def conditional_mean_curve(seq: IntervalSequence, n_bins: int = 8) -> ConditionalMeanCurve:
@@ -75,12 +72,10 @@ def conditional_mean_curve(seq: IntervalSequence, n_bins: int = 8) -> Conditiona
     cond, succ = conditional_blocks(seq, n_bins)
     mean = seq.mean_interval
     centers = np.array([c.mean() for c in cond]) / mean
-    sums = np.array([s.sum() for s in succ], dtype=np.int64)
-    counts = np.array([s.size for s in succ], dtype=np.int64)
-    means = sums / counts / mean
+    sums = np.array([s.sum() for s in succ], dtype=np.int64)  # exact, as integers
+    means = sums / np.array([s.size for s in succ]) / mean
     stderr = np.array([s.std(ddof=1) / np.sqrt(s.size) if s.size > 1 else np.inf for s in succ]) / mean
-    return ConditionalMeanCurve(bin_centers=centers, means=means, stderr=stderr,
-                                counts=counts, sums=sums)
+    return ConditionalMeanCurve(bin_centers=centers, means=means, stderr=stderr)
 
 
 def shuffle_intervals(seq: IntervalSequence, seed: int) -> IntervalSequence:
@@ -90,8 +85,4 @@ def shuffle_intervals(seq: IntervalSequence, seed: int) -> IntervalSequence:
     temporal order.
     """
     rng = np.random.default_rng(seed)
-    return IntervalSequence(
-        threshold_q=seq.threshold_q,
-        intervals=rng.permutation(seq.intervals),
-        source_length=seq.source_length,
-    )
+    return IntervalSequence(threshold_q=seq.threshold_q, intervals=rng.permutation(seq.intervals))

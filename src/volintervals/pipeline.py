@@ -44,6 +44,7 @@ __all__ = [
     "ingest_csv",
     "write_csv",
     "split_by_date",
+    "parse_time",
     "load_config",
     "q_summary",
     "run_pipeline",
@@ -92,7 +93,7 @@ class AnalysisConfig:
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.split_date:
-            _split_date(self.split_date)
+            parse_time(self.split_date, "split_date")
         if bool(self.session_open) != bool(self.session_close):
             raise ConfigError("session_open and session_close must be given together")
         if self.drop_session_gaps and not self.session_open:
@@ -167,10 +168,13 @@ def _data_row_line(path: Path, k: int) -> int:
 def _clock_defect(text: str) -> str | None:
     """Why a timestamp is not whole seconds of wall-clock time, if it is not.
 
-    numpy would convert an offset to UTC with only a warning, and the
-    timestamps are stored in whole seconds; numpy also overflows on more
+    numpy reads 'now' and 'today', in any letter case, as the time of the
+    run, and would convert an offset to UTC with only a warning; the
+    timestamps are stored in whole seconds, and numpy overflows on more
     than 9 digits of fraction, zeros included.
     """
+    if text.lower() in ("now", "today"):
+        return "it would be read as the time of the run, give a date"
     clock = text.partition("T")[2] or text.partition(" ")[2]
     if "+" in clock or "-" in clock or "Z" in clock or "z" in clock:
         return "UTC offsets are not supported, give local wall-clock time"
@@ -180,10 +184,11 @@ def _clock_defect(text: str) -> str | None:
     return None
 
 
-def _split_date(text: str) -> np.datetime64:
-    """A split date by the rule of a CSV timestamp; ConfigError if it breaks that rule."""
+def parse_time(text: str, setting: str) -> np.datetime64:
+    """A date or time given by the user, by the rule of a CSV timestamp;
+    ConfigError naming `setting` if it breaks that rule."""
     if defect := _clock_defect(text):
-        raise ConfigError(f"split_date must be a date, got {text!r}: {defect}")
+        raise ConfigError(f"{setting} must be a date, got {text!r}: {defect}")
     try:
         with warnings.catch_warnings():  # numpy warns about time zones before it
             warnings.filterwarnings("ignore", "no explicit representation of timezones")
@@ -191,7 +196,7 @@ def _split_date(text: str) -> np.datetime64:
         if np.isnat(cut):  # numpy reads "NaT" as a date
             raise ValueError
     except ValueError:
-        raise ConfigError(f"split_date must be a date, got {text!r}") from None
+        raise ConfigError(f"{setting} must be a date, got {text!r}") from None
     return cut
 
 
@@ -220,8 +225,10 @@ def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
                     raise IngestError(f"{path}: line {reader.line_num}: expected 2 fields")
                 text = row[0].strip()
                 # rarely true, so the exact check stays off the common path; the
-                # sign of an offset follows at least the 10 characters of Y-MM-DDTHH
-                if "+" in text or "Z" in text or "z" in text or "." in text or "-" in text[10:]:
+                # sign of an offset follows at least the 10 characters of Y-MM-DDTHH,
+                # and the words numpy reads as the time of the run start with a letter
+                if ("+" in text or "Z" in text or "z" in text or "." in text or "-" in text[10:]
+                        or text[:1].isalpha()):
                     if defect := _clock_defect(text):
                         raise IngestError(f"{path}: line {reader.line_num}: "
                                           f"bad timestamp {row[0]!r}: {defect}")
@@ -259,7 +266,7 @@ def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
 # plain file reaches.
 _CHUNK_BYTES = 1 << 16
 # a '-' after the time separator, spaces read as 'T': the sign of a UTC offset
-_CLOCK_DASH = re.compile(r"T[^\n-]*+-")
+_CLOCK_DASH = re.compile(r"T[^\n-]*-")
 
 
 def _chunks(fh) -> Iterator[bytes]:
@@ -282,10 +289,10 @@ def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
 
     Plain is the exact header `timestamp,price`, then ASCII lines shorter
     than two chunks of exactly two fields, without quotes or carriage
-    returns. No timestamp has a space around it, a '+', 'Z', 'z' or '.', or
-    a '-' after its time separator; all parse, in years 1-9999, and all
-    prices parse as finite and positive; there are at least 2 rows. Such a
-    file is one that _read_rows reads, to the same arrays.
+    returns. No timestamp has a space around it, a '+', 'Z', 'z', '.', 'O'
+    or 'o', or a '-' after its time separator; all parse, in years 1-9999,
+    and all prices parse as finite and positive; there are at least 2 rows.
+    Such a file is one that _read_rows reads, to the same arrays.
     """
     stamps, prices = [], []
     # numpy warns about time zones before it rejects text after a time
@@ -303,7 +310,9 @@ def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
                 return None
             cells = chunk[:-1].decode("ascii").replace("\n", ",").split(",")
             column = "\n".join(cells[0::2])
-            if (any(c in column for c in "+.Zz") or " \n" in column or "\n " in column
+            # 'now' and 'today', which numpy reads as the time of the run, both
+            # hold an 'o' in some letter case, and no date does
+            if (any(c in column for c in "+.ZzOo") or " \n" in column or "\n " in column
                     or column.startswith(" ") or column.endswith(" ")
                     or _CLOCK_DASH.search(column.replace(" ", "T"))):
                 return None
@@ -364,7 +373,7 @@ def write_csv(series: PriceSeries, path) -> None:
 
 def split_by_date(series: PriceSeries, cut) -> tuple[PriceSeries, PriceSeries]:
     """Split into (strictly before cut, from cut on); both parts non-empty."""
-    cut = _split_date(cut) if isinstance(cut, str) else np.datetime64(cut)
+    cut = parse_time(cut, "split_date") if isinstance(cut, str) else np.datetime64(cut)
     ts = series.timestamps
     n_before = int(np.searchsorted(ts, cut, side="left"))
     if n_before < 2 or ts.size - n_before < 2:
@@ -438,7 +447,7 @@ def _intervals_tables(seq, cfg):
 
 def _pdf_tables(seq, cfg):
     pdf = pdf_estimate(seq, mode=cfg.binning, n_bins=cfg.n_bins)
-    scaled = scale_pdf(pdf, seq.mean_interval, q=seq.threshold_q)
+    scaled = scale_pdf(pdf, seq.mean_interval)
     yield Table("scaled_pdf", ("x", "y"), (scaled.x, scaled.y))
 
 

@@ -88,10 +88,9 @@ class ReturnSeries:
 
 @dataclass(frozen=True)
 class VolatilitySeries:
-    """Normalized absolute-return magnitudes, optionally detrended."""
+    """Normalized absolute-return magnitudes."""
 
     values: np.ndarray
-    detrended: bool = False
     timestamps: np.ndarray | None = None
 
     def __post_init__(self):
@@ -203,7 +202,7 @@ def intraday_detrend(vol: VolatilitySeries, pattern: IntradayPattern, slots) -> 
     if np.any(bad):
         s = int(slots[np.flatnonzero(bad)[0]])
         raise DetrendError(f"pattern slot {s} is empty or non-positive")
-    return VolatilitySeries(values=vol.values / means, detrended=True, timestamps=vol.timestamps)
+    return VolatilitySeries(values=vol.values / means, timestamps=vol.timestamps)
 
 
 def gap_report(prices: PriceSeries) -> list[int]:

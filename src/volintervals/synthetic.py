@@ -19,30 +19,21 @@ __all__ = [
     "GeneratorSpec",
     "gen_iid_gaussian",
     "correlated_gaussian",
-    "gen_longrange_correlated",
     "impose_intraday_pattern",
-    "autocorrelation",
-    "fit_correlation_exponent",
 ]
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    kind: str  # "iid_gaussian" or "longrange_correlated"
+    kind: str  # only "iid_gaussian"; correlated noise is correlated_gaussian
     length: int
     seed: int = 0
-    correlation_exponent: float | None = None  # gamma in (0, 1)
-    intraday_pattern: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("iid_gaussian", "longrange_correlated"):
+        if self.kind != "iid_gaussian":
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.length < 2:
             raise ValueError("length must be >= 2")
-        if self.kind == "longrange_correlated":
-            g = self.correlation_exponent
-            if g is None or not 0 < g < 1:
-                raise ValueError("correlation_exponent must lie in (0, 1)")
 
 
 def gen_iid_gaussian(spec: GeneratorSpec) -> ReturnSeries:
@@ -51,19 +42,18 @@ def gen_iid_gaussian(spec: GeneratorSpec) -> ReturnSeries:
     return ReturnSeries(values=rng.standard_normal(spec.length))
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
-
-
 def correlated_gaussian(length: int, gamma: float, seed: int) -> np.ndarray:
     """Zero-mean unit-variance Gaussian noise with autocorrelation ~ t^(-gamma).
 
     Fourier filtering: shape a white spectrum by |f|^(-(1-gamma)/2) and
-    transform back. Lengths are padded internally to a power of two.
+    transform back. Lengths are padded internally to a power of two. The
+    series has unit variance, matching the volatility normalization, so
+    |x| is a long-range correlated volatility whose thresholds are in
+    units of its standard deviation.
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    n = _next_pow2(length)
+    n = 1 << (length - 1).bit_length()
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(n)
     spec = np.fft.rfft(white)
@@ -76,20 +66,6 @@ def correlated_gaussian(length: int, gamma: float, seed: int) -> np.ndarray:
     return x
 
 
-def gen_longrange_correlated(spec: GeneratorSpec) -> VolatilitySeries:
-    """Long-range correlated volatility: |x(t)| of the filtered Gaussian.
-
-    The signed series has unit variance, matching the volatility
-    normalization convention, so thresholds are in units of its
-    standard deviation.
-    """
-    x = correlated_gaussian(spec.length, spec.correlation_exponent, spec.seed)
-    g = VolatilitySeries(values=np.abs(x))
-    if spec.intraday_pattern is not None:
-        g = impose_intraday_pattern(g, spec.intraday_pattern)
-    return g
-
-
 def impose_intraday_pattern(vol: VolatilitySeries, pattern) -> VolatilitySeries:
     """Multiply the series slot-wise by a repeating positive pattern.
 
@@ -100,25 +76,4 @@ def impose_intraday_pattern(vol: VolatilitySeries, pattern) -> VolatilitySeries:
     if np.any(p <= 0):
         raise ValueError("pattern values must be positive")
     slots = np.arange(len(vol)) % p.size
-    return VolatilitySeries(values=vol.values * p[slots], detrended=False, timestamps=vol.timestamps)
-
-
-def autocorrelation(x, max_lag: int) -> np.ndarray:
-    """Sample autocorrelation for lags 0..max_lag, FFT-based."""
-    x = np.asarray(x, dtype=float)
-    x = x - x.mean()
-    n = x.size
-    m = _next_pow2(2 * n)
-    f = np.fft.rfft(x, m)
-    acov = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1] / n
-    return acov / acov[0]
-
-
-def fit_correlation_exponent(x, lag_min: int = 10, lag_max: int = 1000) -> float:
-    """Power-law decay exponent of the autocorrelation, by log-log regression."""
-    acf = autocorrelation(x, lag_max)
-    lags = np.arange(lag_min, lag_max + 1)
-    vals = acf[lag_min : lag_max + 1]
-    keep = vals > 0
-    slope, _ = np.polyfit(np.log(lags[keep]), np.log(vals[keep]), 1)
-    return float(-slope)
+    return VolatilitySeries(values=vol.values * p[slots], timestamps=vol.timestamps)

@@ -71,7 +71,7 @@ def test_criterion_1_uncorrelated_baseline():
     seq = extract_intervals(vol, 2.0)
     expected = 1.0 / (2.0 * stats.norm.sf(2.0))
     mean_ok = abs(seq.mean_interval / expected - 1) < 0.02
-    p_hat = (len(seq) + 1) / seq.source_length
+    p_hat = (len(seq) + 1) / len(vol)
     ks = geometric_cdf_ks(seq.intervals, p_hat)
     elapsed = time.perf_counter() - t0
     report(1, f"iid q=2: <tau>={seq.mean_interval:.2f} (expect {expected:.2f}), "
@@ -203,10 +203,15 @@ def test_criterion_8_determinism_and_exactness(tmp_path):
                  and si.mean_interval == seq.mean_interval
                  and np.array_equal(np.sort(sv.values), np.sort(vol.values)))
 
-    # law of total expectation, exact at integer precision
+    # law of total expectation, exact at integer precision, over the blocks
+    # whose integer sums and counts give the conditional mean curve
+    succ = conditional_blocks(seq, n_subsets=8)[1]
+    sums = np.array([s.sum() for s in succ])
+    counts = np.array([s.size for s in succ])
     curve = conditional_mean_curve(seq, n_bins=8)
-    lote = (int(curve.sums.sum()) == int(seq.intervals[1:].sum())
-            and int(curve.counts.sum()) == len(seq) - 1)
+    lote = (np.array_equal(curve.means, sums / counts / seq.mean_interval)
+            and int(sums.sum()) == int(seq.intervals[1:].sum())
+            and int(counts.sum()) == len(seq) - 1)
 
     report(8, f"determinism: byte-identical={identical}, shuffle multisets exact={multisets}, "
               f"total-expectation identity exact={lote}",

@@ -15,8 +15,7 @@ from volintervals import (
 
 
 def make_seq(intervals, q=1.0):
-    return IntervalSequence(threshold_q=q, intervals=np.asarray(intervals),
-                            source_length=int(np.sum(intervals)) + 1)
+    return IntervalSequence(threshold_q=q, intervals=np.asarray(intervals))
 
 
 class TestMedianSplit:

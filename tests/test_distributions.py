@@ -22,15 +22,16 @@ from volintervals.distributions import continuity_corrected_sample
 
 
 def make_seq(intervals, q=1.0):
-    return IntervalSequence(threshold_q=q, intervals=np.asarray(intervals),
-                            source_length=int(np.sum(intervals)) + 1)
+    return IntervalSequence(threshold_q=q, intervals=np.asarray(intervals))
 
 
 class TestPdfEstimate:
     def test_counting(self):
-        pdf = pdf_estimate(make_seq([1, 1, 2, 4]), bin_edges=[0.5, 1.5, 2.5, 3.5, 4.5])
-        assert np.allclose(pdf.densities, [0.5, 0.25, 0, 0.25])
-        assert pdf.counts.tolist() == [2, 1, 0, 1]
+        # edges 1, 1.5, .., 4: the last bin holds its right edge
+        pdf = pdf_estimate(make_seq([1, 1, 2, 4]), mode="linear", n_bins=6)
+        assert np.array_equal(pdf.bin_edges, [1, 1.5, 2, 2.5, 3, 3.5, 4])
+        assert np.allclose(pdf.densities, [1, 0, 0.5, 0, 0, 0.5])
+        assert pdf.counts.tolist() == [2, 0, 1, 0, 0, 1]
 
     @pytest.mark.parametrize("mode", ["linear", "logarithmic"])
     def test_unit_integral(self, mode):
@@ -67,12 +68,12 @@ class TestPdfEstimate:
 
 class TestScalePdf:
     def test_direct_application(self):
-        pdf = pdf_estimate(make_seq([1, 1, 2, 4]), mode="linear",
-                           bin_edges=[0.5, 1.5, 2.5, 3.5, 4.5])
+        pdf = pdf_estimate(make_seq([1, 1, 2, 4]), mode="linear", n_bins=3)
         scaled = scale_pdf(pdf, 2.0)
-        # density 0.25 at tau=2 maps to (1.0, 0.5)
-        assert scaled.x[1] == pytest.approx(1.0)
-        assert scaled.y[1] == pytest.approx(0.5)
+        # density 0.25 over [2, 3) maps to (2.5 / 2, 0.25 * 2)
+        assert np.allclose(pdf.densities, [0.5, 0.25, 0.25])
+        assert np.allclose(scaled.x, [0.75, 1.25, 1.75])
+        assert np.allclose(scaled.y, [1.0, 0.5, 0.5])
 
     def test_unit_mean_is_identity(self):
         pdf = pdf_estimate(make_seq([1, 2, 3, 4]), mode="linear", n_bins=3)

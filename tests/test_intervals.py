@@ -21,7 +21,6 @@ def test_direct_count():
     seq = extract_intervals(VolatilitySeries(np.array([2.0, 0, 0, 2, 0, 2])), 1.0)
     assert seq.intervals.tolist() == [3, 2]
     assert seq.mean_interval == 2.5
-    assert seq.source_length == 6
 
 
 def test_no_events_raises_with_count():
@@ -50,7 +49,7 @@ def test_iid_intervals_are_geometric():
     rng = np.random.default_rng(8)
     g = np.abs(rng.standard_normal(10**6))
     seq = extract_intervals(VolatilitySeries(g), 1.0)
-    p_hat = (len(seq) + 1) / seq.source_length
+    p_hat = (len(seq) + 1) / g.size
     assert geometric_cdf_ks(seq.intervals, p_hat) < 0.01
 
 

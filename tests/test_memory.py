@@ -15,8 +15,7 @@ from volintervals.memory import InsufficientPairsError, conditional_blocks
 
 
 def make_seq(intervals, q=1.0):
-    return IntervalSequence(threshold_q=q, intervals=np.asarray(intervals),
-                            source_length=int(np.sum(intervals)) + 1)
+    return IntervalSequence(threshold_q=q, intervals=np.asarray(intervals))
 
 
 def test_one_value_per_subset():
@@ -55,12 +54,16 @@ def test_law_of_total_expectation_exact():
     rng = np.random.default_rng(1)
     for trial in range(5):
         seq = make_seq(rng.geometric(0.25, size=200 + trial))
+        succ = conditional_blocks(seq, n_subsets=8)[1]
+        sums = np.array([s.sum() for s in succ])
+        counts = np.array([s.size for s in succ])
         curve = conditional_mean_curve(seq, n_bins=8)
-        total = curve.sums.sum()
+        assert np.array_equal(curve.means, sums / counts / seq.mean_interval)
+        total = sums.sum()
         assert total == seq.intervals[1:].sum()
-        assert curve.counts.sum() == len(seq) - 1
+        assert counts.sum() == len(seq) - 1
         # weighted mean of block means equals the successor mean exactly
-        assert total / curve.counts.sum() == seq.intervals[1:].mean()
+        assert total / counts.sum() == seq.intervals[1:].mean()
 
 
 def test_tie_break_is_stable_by_time_index():
@@ -133,7 +136,6 @@ def test_conditional_pdf_scaled_with_full_sequence_mean(correlated_vol):
     seq = extract_intervals(correlated_vol, 1.5)
     pdfs = conditional_pdfs(seq, n_subsets=8)
     assert len(pdfs) == 8
-    assert all(p.q == 1.5 for p in pdfs)
     assert np.all(pdfs[7].x >= 0)
     assert np.all(pdfs[7].y >= 0)
     # the largest-predecessor octile skews toward long successors
@@ -147,8 +149,6 @@ def test_conditional_pdfs_match_per_block_oracle(correlated_vol, mode, n_bins):
     got = conditional_pdfs(seq, n_subsets=5, mode=mode, n_bins=n_bins)
     assert len(got) == len(succ)
     for block, scaled in zip(succ, got):
-        want = scale_pdf(pdf_estimate(block, mode=mode, n_bins=n_bins), seq.mean_interval,
-                         q=seq.threshold_q)
+        want = scale_pdf(pdf_estimate(block, mode=mode, n_bins=n_bins), seq.mean_interval)
         assert np.array_equal(scaled.x, want.x)
         assert np.array_equal(scaled.y, want.y)
-        assert scaled.q == want.q == 2.0

@@ -142,6 +142,11 @@ class TestIngest:
                             b"2020-01-01T00:00:01,2\n", r"line 2: .*: fractions of a second"),
         "text_after_time": (b"timestamp,price\n2000-01-01T00:00,1\n2000-01-01T00:01x,2\n",
                             r"line 3: bad timestamp '2000-01-01T00:01x'$"),
+        # numpy reads these words, in any letter case, as the time of the run
+        "now": (b"timestamp,price\n2000-01-03,1\nnow,2\n",
+                r"line 3: bad timestamp 'now': it would be read as the time of the run"),
+        "today_quoted": (b'timestamp,price\n"TODAY",1\n2000-01-04,2\n',
+                         r"line 2: bad timestamp 'TODAY': it would be read as the time of the run"),
     }
 
     @pytest.mark.parametrize("case", BAD_CONTENT)
@@ -191,7 +196,7 @@ TIMESTAMPS = st.one_of(
                      "123456789", "-0001-01-01", "2000-01-01T00:00Z", '"2000-01-01',
                      "2000-01-01T09:00+09:00", "2000-01-01T09:00:00-05:00",
                      "2000-01-01 09:00-0500", "2000-01-01T09+09", "1-01-01T09-05",
-                     "2000-01-01T00:00:00.000"])
+                     "2000-01-01T00:00:00.000", "now", "today", "TODAY"])
     | st.text("0123456789-T:. Z", max_size=20),
     st.text(max_size=10),
 )
@@ -306,6 +311,8 @@ class TestArrayIngest:
         "fraction": (_at(4202, "2001-01-01T00:00:00.5,1"),
                      "line 4202: bad timestamp '2001-01-01T00:00:00.5': fractions of a second"),
         "zero_fraction": (_at(5, "2001-01-01T00:00:00.000,1"), None),
+        "now": (_at(4202, "Now,1"), "line 4202: bad timestamp 'Now': it would be read as the time"),
+        "today": (_at(3, "today,1"), "line 3: bad timestamp 'today': it would be read as the time"),
         "field_over_csv_limit": (_at(5, "2001-01-01T00:00:00," + "0" * 200_000 + "1"),
                                  "line 5: field larger than field limit"),
     }
@@ -367,6 +374,8 @@ INVALID_CONFIGS = {
     "split_date_z": ({"split_date": "1990-01-01T00:00Z"}, "split_date.*UTC offsets"),
     "split_date_fraction": ({"split_date": "1990-01-01T00:00:00.5"}, "split_date.*fractions"),
     "split_date_text_after_time": ({"split_date": "1990-01-01T00:00x"}, "split_date"),
+    "split_date_now": ({"split_date": "now"}, "split_date.*time of the run"),
+    "split_date_today": ({"split_date": "TODAY"}, "split_date.*time of the run"),
     "open_without_close": ({"session_open": "09:00"}, "session_close"),
     "close_without_open": ({"session_close": "15:00"}, "session_open"),
     "gaps_without_session": ({"drop_session_gaps": True}, "drop_session_gaps"),
@@ -918,6 +927,63 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 2
         assert "UTC offsets are not supported" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["split", "analyze"])
+    def test_split_date_today_is_rejected(self, tmp_path, capsys, command):
+        csv = synth_csv(tmp_path / "s.csv", length=3000, kind="iid", seed=6)
+        assert main([command, str(csv), "--split-date", "today", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: split_date must be a date, got 'today': "
+                                           "it would be read as the time of the run, give a date\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("start, defect", [
+        ("now", "it would be read as the time of the run"),
+        ("Today", "it would be read as the time of the run"),
+        ("2000-01-01T09:00+09:00", "UTC offsets are not supported"),
+        ("2000-01-01T00:00:00.5", "fractions of a second are not supported"),
+        ("2000-13-01", None),
+    ])
+    def test_synth_start_follows_the_timestamp_rule(self, tmp_path, capsys, start, defect):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # not a time zone warning instead of the error
+            assert main(["synth", "--length", "100", "--start", start, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --start must be a date, got {start!r}")
+        assert defect is None or defect in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start, second", [
+        ("2000-01-01T09:00", "2000-01-01T09:01:00"),
+        ("2000-01-01T09:00:00.000", "2000-01-01T09:01:00"),
+    ])
+    def test_synth_start_of_whole_seconds_is_kept(self, tmp_path, start, second):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--length", "10", "--start", start, "--interval", "1m",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2].startswith(f"{second},")
+
+    @pytest.mark.parametrize("interval, second", [
+        ("1m", "1984-01-04T00:01:00"),
+        ("1min", "1984-01-04T00:01:00"),
+        ("90s", "1984-01-04T00:01:30"),
+        ("2h", "1984-01-04T02:00:00"),
+        ("1d", "1984-01-05T00:00:00"),
+        ("1day", "1984-01-05T00:00:00"),
+        ("10", "1984-01-04T00:00:10"),
+    ])
+    def test_synth_interval(self, tmp_path, interval, second):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--length", "10", "--interval", interval, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[1].startswith("1984-01-04T00:00:00,") and lines[2].startswith(f"{second},")
+
+    @pytest.mark.parametrize("interval", ["0", "-1d", "0.5h", "x"])
+    def test_synth_bad_interval_exits_2(self, tmp_path, capsys, interval):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--length", "10", f"--interval={interval}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_analyze_prints_thresholds_in_ascending_order(self, tmp_path, capsys):
         # rare large jumps, each above 10 standard deviations, so q=2 and q=10 both pass

@@ -120,7 +120,6 @@ class TestDetrend:
         out = intraday_detrend(vol, pat, slots)
         for s in range(4):
             assert out.values[slots == s].mean() == pytest.approx(1.0, abs=1e-9)
-        assert out.detrended
 
     def test_elementwise_division(self):
         vol = VolatilitySeries(np.array([2.0, 4.0, 2.0, 4.0]))

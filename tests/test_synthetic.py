@@ -4,17 +4,33 @@ import pytest
 from volintervals import (
     GeneratorSpec,
     VolatilitySeries,
+    correlated_gaussian,
     gen_iid_gaussian,
-    gen_longrange_correlated,
     impose_intraday_pattern,
     intraday_detrend,
     build_intraday_pattern,
 )
-from volintervals.synthetic import (
-    autocorrelation,
-    correlated_gaussian,
-    fit_correlation_exponent,
-)
+
+
+def autocorrelation(x, max_lag: int) -> np.ndarray:
+    """Sample autocorrelation for lags 0..max_lag, FFT-based."""
+    x = np.asarray(x, dtype=float)
+    x = x - x.mean()
+    n = x.size
+    m = 1 << (2 * n - 1).bit_length()  # zero padding to a power of two >= 2n
+    f = np.fft.rfft(x, m)
+    acov = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1] / n
+    return acov / acov[0]
+
+
+def fit_correlation_exponent(x, lag_min: int = 10, lag_max: int = 1000) -> float:
+    """Power-law decay exponent of the autocorrelation, by log-log regression."""
+    acf = autocorrelation(x, lag_max)
+    lags = np.arange(lag_min, lag_max + 1)
+    vals = acf[lag_min : lag_max + 1]
+    keep = vals > 0
+    slope, _ = np.polyfit(np.log(lags[keep]), np.log(vals[keep]), 1)
+    return float(-slope)
 
 
 class TestIidGaussian:
@@ -42,11 +58,9 @@ class TestLongRangeCorrelated:
         assert fit_correlation_exponent(x, 10, 1000) == pytest.approx(0.3, abs=0.1)
 
     def test_deterministic(self):
-        spec = GeneratorSpec(kind="longrange_correlated", length=4096,
-                             correlation_exponent=0.4, seed=3)
-        a = gen_longrange_correlated(spec)
-        b = gen_longrange_correlated(spec)
-        assert np.array_equal(a.values, b.values)
+        a = correlated_gaussian(4096, 0.4, seed=3)
+        b = correlated_gaussian(4096, 0.4, seed=3)
+        assert np.array_equal(a, b)
 
     def test_shuffle_destroys_correlation(self):
         n = 2**18
@@ -68,9 +82,6 @@ class TestLongRangeCorrelated:
     def test_gamma_out_of_range(self, gamma):
         with pytest.raises(ValueError):
             correlated_gaussian(1024, gamma, seed=0)
-        with pytest.raises(ValueError):
-            GeneratorSpec(kind="longrange_correlated", length=1024,
-                          correlation_exponent=gamma)
 
 
 class TestImposePattern:
@@ -108,5 +119,7 @@ class TestImposePattern:
 def test_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec(kind="bogus", length=100)
+    with pytest.raises(ValueError):  # correlated noise comes from correlated_gaussian
+        GeneratorSpec(kind="longrange_correlated", length=100)
     with pytest.raises(ValueError):
         GeneratorSpec(kind="iid_gaussian", length=1)
