@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -95,15 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_step(text) -> np.timedelta64:
-    text = text.strip().lower()
+    """--interval: a count of at least 1 (1 if none), then a unit (s if none)."""
     units = {"d": "D", "day": "D", "m": "m", "min": "m", "s": "s", "h": "h"}
-    for suffix in sorted(units, key=len, reverse=True):
-        if text.endswith(suffix):
-            return np.timedelta64(int(text[: -len(suffix)] or 1), units[suffix])
-    return np.timedelta64(int(text), "s")
+    m = re.fullmatch(r"\s*(\d*)\s*(day|d|min|m|s|h)?\s*", text)
+    if not m or not (m[1] or m[2]) or int(m[1] or 1) < 1:
+        raise ConfigError(f"--interval must be a count of at least 1 and a unit "
+                          f"d, day, h, m, min or s, got {text!r}")
+    return np.timedelta64(int(m[1] or 1), units[m[2] or "s"])
 
 
 def _cmd_synth(args) -> int:
+    if args.length < 2:
+        raise ConfigError(f"--length must be >= 2, got {args.length}")
     step = _parse_step(args.interval).astype("timedelta64[s]")
     start = parse_time(args.start, "--start").astype("datetime64[s]")
     if args.kind == "iid":

@@ -74,4 +74,4 @@ def cluster_survival(runs: ClusterRuns, side: str = "above") -> np.ndarray:
 def shuffle_volatility(vol: VolatilitySeries, seed: int) -> VolatilitySeries:
     """Uniform random permutation of the volatility values (fixed seed)."""
     rng = np.random.default_rng(seed)
-    return VolatilitySeries(values=rng.permutation(vol.values), timestamps=vol.timestamps)
+    return VolatilitySeries(values=rng.permutation(vol.values))

@@ -76,7 +76,8 @@ def extract_intervals(vol, q: float, session_ids=None, drop_session_gaps: bool =
         sid = np.asarray(session_ids)
         keep = sid[events[1:]] == sid[events[:-1]]
         if not np.any(keep):
-            raise InsufficientEventsError(q, 1)
+            raise ValueError(f"threshold q={q:g}: {events.size} events, but no two successive "
+                             "events share a session")
         intervals = intervals[keep]
     return IntervalSequence(threshold_q=float(q), intervals=intervals)
 

@@ -265,8 +265,11 @@ def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
 # Two chunks make the csv module's default field limit, which no line of a
 # plain file reaches.
 _CHUNK_BYTES = 1 << 16
-# a '-' after the time separator, spaces read as 'T': the sign of a UTC offset
-_CLOCK_DASH = re.compile(r"T[^\n-]*-")
+# a plain timestamp, digits mapped to '0': a date, alone or with hours, minutes or
+# seconds after 'T' or ' '; no sign, zone, fraction, word or text for numpy to read
+_DIGITS_TO_0 = str.maketrans("123456789", "000000000")
+_PLAIN_SHAPES = {"0000-00-00", *(f"0000-00-00{sep}{clock}" for sep in "T "
+                                 for clock in ("00", "00:00", "00:00:00"))}
 
 
 def _chunks(fh) -> Iterator[bytes]:
@@ -288,20 +291,17 @@ def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
     None for anything else, which is left to _read_rows.
 
     Plain is the exact header `timestamp,price`, then ASCII lines shorter
-    than two chunks of exactly two fields, without quotes or carriage
-    returns. No timestamp has a space around it, a '+', 'Z', 'z', '.', 'O'
-    or 'o', or a '-' after its time separator; all parse, in years 1-9999,
-    and all prices parse as finite and positive; there are at least 2 rows.
+    than two chunks of exactly two fields, without carriage returns. All
+    timestamps have _PLAIN_SHAPES and parse, in years 1-9999, and all prices
+    (so none quoted) parse as finite and positive; there are at least 2 rows.
     Such a file is one that _read_rows reads, to the same arrays.
     """
     stamps, prices = [], []
-    # numpy warns about time zones before it rejects text after a time
-    with open(path, "rb") as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "no explicit representation of timezones")
+    with open(path, "rb") as fh:
         if fh.readline() != b"timestamp,price\n":
             return None
         for chunk in _chunks(fh):
-            if not chunk or not chunk.isascii() or b'"' in chunk or b"\r" in chunk:
+            if not chunk or not chunk.isascii() or b"\r" in chunk:
                 return None
             b = np.frombuffer(chunk, np.uint8)
             commas, ends = np.flatnonzero(b == ord(",")), np.flatnonzero(b == ord("\n"))
@@ -309,12 +309,8 @@ def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
             if commas.size != ends.size or (commas > ends).any() or (commas[1:] < ends[:-1]).any():
                 return None
             cells = chunk[:-1].decode("ascii").replace("\n", ",").split(",")
-            column = "\n".join(cells[0::2])
-            # 'now' and 'today', which numpy reads as the time of the run, both
-            # hold an 'o' in some letter case, and no date does
-            if (any(c in column for c in "+.ZzOo") or " \n" in column or "\n " in column
-                    or column.startswith(" ") or column.endswith(" ")
-                    or _CLOCK_DASH.search(column.replace(" ", "T"))):
+            shapes = "\n".join(cells[0::2]).translate(_DIGITS_TO_0).split("\n")
+            if not _PLAIN_SHAPES.issuperset(shapes):
                 return None
             try:
                 stamps.append(np.array(cells[0::2], dtype="datetime64[s]"))
@@ -519,12 +515,12 @@ def _envelope(rows):
 
 
 def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
-    """Normalized volatility, intraday-detrended when cfg names a session,
-    and the session id of every sample (None without a session)."""
+    """Normalized volatility, intraday-detrended when cfg names a session, and
+    the session id of every return (None without one), timed by its first price."""
     vol = normalize_volatility(log_returns(prices))
     if cfg.calendar is None:
         return vol, None
-    slots, session_ids = session_slots(vol.timestamps, cfg.calendar, prices.sampling_interval)
+    slots, session_ids = session_slots(prices.timestamps[:-1], cfg.calendar, prices.sampling_interval)
     pattern = build_intraday_pattern(vol, slots, session_ids)
     return intraday_detrend(vol, pattern, slots), session_ids
 
@@ -639,7 +635,7 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
                 try:  # as q rises intervals only thin out, so too few for 'conditional' here fail every q
                     n_low = len(extract_intervals(vol, cfg.thresholds[0], session_ids=session_ids,
                                                   drop_session_gaps=cfg.drop_session_gaps))
-                except ValueError:  # not even two events
+                except ValueError:  # no interval: under two events, or none in one session
                     n_low = 0
                 n_seeds = cfg.ensemble if n_low >= 2 * cfg.n_subsets else 0
                 queued.append((summary, outdir, ex.submit(_analyze_one, vol, session_ids, cfg, outdir),

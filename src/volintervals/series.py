@@ -74,10 +74,9 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Log-returns; timestamps mark the left endpoint of each return."""
+    """Log-returns."""
 
     values: np.ndarray
-    timestamps: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -91,7 +90,6 @@ class VolatilitySeries:
     """Normalized absolute-return magnitudes."""
 
     values: np.ndarray
-    timestamps: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -143,7 +141,7 @@ def _hhmm_minute(text: str, name: str) -> int:
 def log_returns(prices: PriceSeries) -> ReturnSeries:
     """Log-return between consecutive samples: ln(Y[t+1]) - ln(Y[t])."""
     g = np.diff(np.log(prices.prices))
-    return ReturnSeries(values=g, timestamps=prices.timestamps[:-1])
+    return ReturnSeries(values=g)
 
 
 def normalize_volatility(returns: ReturnSeries) -> VolatilitySeries:
@@ -156,7 +154,7 @@ def normalize_volatility(returns: ReturnSeries) -> VolatilitySeries:
     var = np.mean(g * g) - np.mean(g) ** 2
     if var <= 0 or not np.isfinite(var):
         raise DegenerateSeriesError("return series has zero standard deviation")
-    return VolatilitySeries(values=np.abs(g) / np.sqrt(var), timestamps=returns.timestamps)
+    return VolatilitySeries(values=np.abs(g) / np.sqrt(var))
 
 
 def session_slots(timestamps, calendar: SessionCalendar, sampling_interval) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +200,7 @@ def intraday_detrend(vol: VolatilitySeries, pattern: IntradayPattern, slots) -> 
     if np.any(bad):
         s = int(slots[np.flatnonzero(bad)[0]])
         raise DetrendError(f"pattern slot {s} is empty or non-positive")
-    return VolatilitySeries(values=vol.values / means, timestamps=vol.timestamps)
+    return VolatilitySeries(values=vol.values / means)
 
 
 def gap_report(prices: PriceSeries) -> list[int]:

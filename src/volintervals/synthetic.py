@@ -76,4 +76,4 @@ def impose_intraday_pattern(vol: VolatilitySeries, pattern) -> VolatilitySeries:
     if np.any(p <= 0):
         raise ValueError("pattern values must be positive")
     slots = np.arange(len(vol)) % p.size
-    return VolatilitySeries(values=vol.values * p[slots], timestamps=vol.timestamps)
+    return VolatilitySeries(values=vol.values * p[slots])

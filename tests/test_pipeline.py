@@ -254,11 +254,13 @@ def _row_reader(path):
         return ingest_csv(path)
 
 
+# the seven plain shapes: a date alone, or with hours, minutes or seconds after 'T' or ' '
 PLAIN_ROWS = st.tuples(
     st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1)),
-    st.sampled_from(["T", " "]),
+    st.sampled_from([None, "T", " "]),
+    st.sampled_from(["hours", "minutes", "seconds"]),
     st.floats(min_value=0, exclude_min=True, allow_infinity=False),
-).map(lambda r: f"{r[0].replace(microsecond=0).isoformat(r[1])},{r[2]!r}")
+).map(lambda r: f"{r[0].date().isoformat() if r[1] is None else r[0].isoformat(r[1], r[2])},{r[3]!r}")
 
 
 @given(header=st.sampled_from(["timestamp,price"] * 8 + ["Timestamp , PRICE", "timestamp,price,volume"]),
@@ -290,6 +292,16 @@ class TestArrayIngest:
         s = _row_reader(f)
         assert np.array_equal(ts, s.timestamps) and np.array_equal(p.view(np.int64), s.prices.view(np.int64))
 
+    @pytest.mark.parametrize("time", ["", "T09", " 09", "T09:30", " 09:30", "T09:30:15", " 09:30:15"])
+    def test_every_plain_shape_takes_the_array_path(self, tmp_path, time):
+        stamps = [f"2001-01-0{day}{time}" for day in (1, 2)]
+        f = tmp_path / "x.csv"
+        f.write_text("timestamp,price\n" + "".join(f"{t},{k + 1}\n" for k, t in enumerate(stamps)))
+        ts, p = _read_plain(f)
+        assert ts.dtype == np.dtype("datetime64[s]") and p.tolist() == [1.0, 2.0]
+        assert ts.tolist() == [datetime.fromisoformat(t) for t in stamps]
+        assert np.array_equal(ts, _row_reader(f).timestamps)
+
     # edit of a plain file's lines -> the message it must raise (None: it reads as a series)
     LEFT_TO_ROWS = {
         "header_with_a_third_column": (lambda lines: ["timestamp,price,volume", *lines[1:]], None),
@@ -315,6 +327,10 @@ class TestArrayIngest:
         "today": (_at(3, "today,1"), "line 3: bad timestamp 'today': it would be read as the time"),
         "field_over_csv_limit": (_at(5, "2001-01-01T00:00:00," + "0" * 200_000 + "1"),
                                  "line 5: field larger than field limit"),
+        # no plain shape, though numpy reads it: the first instant of the month
+        "year_month": (_at(5002, "2001-01,1"), None),
+        "text_after_time": (_at(4202, "2001-01-01T00:00x,1"),
+                            "line 4202: bad timestamp '2001-01-01T00:00x'$"),
     }
 
     @pytest.mark.parametrize("case", LEFT_TO_ROWS)
@@ -491,6 +507,29 @@ class TestRunPipeline:
         assert any(e["q"] == 50.0 and e["stage"] == "extract" for e in report["errors"])
         assert (tmp_path / "out" / "inst" / "q1" / "intervals.tsv").exists()
 
+    def test_split_leaving_a_part_too_short_does_not_stop_other_inputs(self, tmp_path):
+        good = synth_csv(tmp_path / "good.csv", length=4000, kind="iid", seed=8)  # 1984-1994
+        late = tmp_path / "late.csv"
+        late.write_text("timestamp,price\n1989-12-29,1\n" + "".join(
+            f"1990-01-{d:02d},{d}\n" for d in range(2, 12)))
+        out = tmp_path / "out"
+        assert main(["analyze", str(good), str(late), "--q", "1", "--ensemble", "2",
+                     "--split-date", "1990-01-01", "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["errors"] == [{"instrument": "late", "q": None, "stage": "split",
+                                     "error": "cut 1990-01-01 leaves an empty or degenerate part"}]
+        assert [s["instrument"] for s in report["instruments"]] == ["good_pre", "good_post"]
+        assert (out / "good" / "post" / "q1" / "cluster_surrogate.tsv").exists()
+        assert not (out / "late").exists()
+
+    def test_session_gaps_around_every_interval_fail_extract_with_the_event_count(self, tmp_path):
+        # 4 events, one in each of 4 sessions: every interval spans a session gap
+        vol = VolatilitySeries(np.tile([2.0, 0.5, 0.5], 4))
+        cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0], session_open="09:00",
+                             session_close="15:00", drop_session_gaps=True)
+        [(stage, exc)] = _analyze_one(vol, np.repeat(np.arange(4), 3), cfg, tmp_path)
+        assert stage == "extract"
+        assert str(exc) == "threshold q=1: 4 events, but no two successive events share a session"
 
     def test_repeated_thresholds_run_once(self, tmp_path):
         csv = synth_csv(tmp_path / "inst.csv", length=2000, kind="iid", seed=4)
@@ -779,6 +818,13 @@ class TestConfigFile:
             load_config(f)
         assert str(exc.value) == f"{f}:4: repeated key {key!r}, first set on line 2"
 
+    def test_line_without_equals_names_file_and_line(self, tmp_path):
+        f = tmp_path / "cfg"
+        f.write_text("input = a.csv\n# q = 1\n\nq 1\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(f)
+        assert str(exc.value) == f"{f}:4: expected key=value, got 'q 1'"
+
     def test_unset_keys_keep_analysis_defaults(self, tmp_path):
         f = tmp_path / "cfg"
         f.write_text("input = a.csv\n")
@@ -978,11 +1024,23 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[1].startswith("1984-01-04T00:00:00,") and lines[2].startswith(f"{second},")
 
-    @pytest.mark.parametrize("interval", ["0", "-1d", "0.5h", "x"])
+    # numpy's M is a month and H no unit, so neither is read as minutes or hours
+    @pytest.mark.parametrize("interval", ["0", "-1d", "0.5h", "x", "1M", "2H"])
     def test_synth_bad_interval_exits_2(self, tmp_path, capsys, interval):
         out = tmp_path / "s.csv"
         assert main(["synth", "--length", "10", f"--interval={interval}", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: --interval must be a count of at least 1 "
+                                                  f"and a unit d, day, h, m, min or s, got {interval!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["iid", "correlated"])
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_synth_length_below_2_exits_2(self, tmp_path, capsys, kind, length):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            assert main(["synth", "--kind", kind, "--length", str(length), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --length must be >= 2, got {length}\n"
         assert not out.exists()
 
     def test_analyze_prints_thresholds_in_ascending_order(self, tmp_path, capsys):
