@@ -95,21 +95,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_step(text) -> np.timedelta64:
-    """--interval: a count of at least 1 (1 if none), then a unit (s if none)."""
-    units = {"d": "D", "day": "D", "m": "m", "min": "m", "s": "s", "h": "h"}
+def _parse_step(text) -> int:
+    """--interval in seconds: a count of at least 1 (1 if none), then a unit (s if none)."""
+    units = {"d": 86400, "day": 86400, "m": 60, "min": 60, "s": 1, "h": 3600}
     m = re.fullmatch(r"\s*(\d*)\s*(day|d|min|m|s|h)?\s*", text)
     if not m or not (m[1] or m[2]) or int(m[1] or 1) < 1:
         raise ConfigError(f"--interval must be a count of at least 1 and a unit "
                           f"d, day, h, m, min or s, got {text!r}")
-    return np.timedelta64(int(m[1] or 1), units[m[2] or "s"])
+    return int(m[1] or 1) * units[m[2] or "s"]
+
+
+# the last second that a timestamp, and so a synth row, can have
+_LAST_SECOND = np.datetime64("9999-12-31T23:59:59")
 
 
 def _cmd_synth(args) -> int:
     if args.length < 2:
         raise ConfigError(f"--length must be >= 2, got {args.length}")
-    step = _parse_step(args.interval).astype("timedelta64[s]")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    seconds = _parse_step(args.interval)
     start = parse_time(args.start, "--start").astype("datetime64[s]")
+    if int((_LAST_SECOND - start).astype(np.int64)) < (args.length - 1) * seconds:
+        raise ConfigError(f"--start {args.start}, --interval {args.interval} and --length {args.length} "
+                          f"put the last row after {_LAST_SECOND}")
+    step = np.timedelta64(seconds, "s")
     if args.kind == "iid":
         g = gen_iid_gaussian(GeneratorSpec(kind="iid_gaussian", length=args.length,
                                            seed=args.seed)).values
@@ -157,7 +167,7 @@ def main(argv=None) -> int:
     handlers = {"analyze": _cmd_analyze, "synth": _cmd_synth, "split": _cmd_split}
     try:
         return handlers.get(args.command, _cmd_stage)(args)
-    except (ConfigError, IngestError, ValueError) as exc:
+    except (ConfigError, IngestError, ValueError, OSError) as exc:  # OSError: a path we cannot write or read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

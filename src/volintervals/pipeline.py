@@ -165,54 +165,40 @@ def _data_row_line(path: Path, k: int) -> int:
         return next(itertools.islice(rows, k, None))
 
 
-def _clock_defect(text: str) -> str | None:
-    """Why a timestamp is not whole seconds of wall-clock time, if it is not.
+# a timestamp, digits mapped to '0': a date, alone or with hours, minutes or seconds
+# after 'T' or ' '; no sign, zone, fraction, word or text for numpy to read, nor a
+# year outside 0000-9999
+_DIGITS_TO_0 = str.maketrans("123456789", "000000000")
+_PLAIN_SHAPES = {"0000-00-00", *(f"0000-00-00{sep}{clock}" for sep in "T "
+                                 for clock in ("00", "00:00", "00:00:00"))}
+_TIMESTAMP_RULE = ("need YYYY-MM-DD in years 1-9999, alone or followed by T or a space "
+                   "and HH, HH:MM or HH:MM:SS")
 
-    numpy reads 'now' and 'today', in any letter case, as the time of the
-    run, and would convert an offset to UTC with only a warning; the
-    timestamps are stored in whole seconds, and numpy overflows on more
-    than 9 digits of fraction, zeros included.
-    """
-    if text.lower() in ("now", "today"):
-        return "it would be read as the time of the run, give a date"
-    clock = text.partition("T")[2] or text.partition(" ")[2]
-    if "+" in clock or "-" in clock or "Z" in clock or "z" in clock:
-        return "UTC offsets are not supported, give local wall-clock time"
-    fraction = clock.rpartition(".")[2] if "." in clock else ""
-    if fraction.isdigit() and (fraction.strip("0") or len(fraction) > 9):
-        return "fractions of a second are not supported"
-    return None
+
+def _timestamp(text: str) -> np.datetime64:
+    """`text` if it has one of _PLAIN_SHAPES, a year from 1 and a date and time
+    that exist; ValueError with the rule otherwise."""
+    try:
+        if text.translate(_DIGITS_TO_0) in _PLAIN_SHAPES and not text.startswith("0000"):
+            return np.datetime64(text)
+    except ValueError:  # no such date or time, such as month 13 or hour 24
+        pass
+    raise ValueError(f"bad timestamp {text!r}: {_TIMESTAMP_RULE}")
 
 
 def parse_time(text: str, setting: str) -> np.datetime64:
     """A date or time given by the user, by the rule of a CSV timestamp;
     ConfigError naming `setting` if it breaks that rule."""
-    if defect := _clock_defect(text):
-        raise ConfigError(f"{setting} must be a date, got {text!r}: {defect}")
     try:
-        with warnings.catch_warnings():  # numpy warns about time zones before it
-            warnings.filterwarnings("ignore", "no explicit representation of timezones")
-            cut = np.datetime64(text)  # rejects text after a time
-        if np.isnat(cut):  # numpy reads "NaT" as a date
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"{setting} must be a date, got {text!r}") from None
-    return cut
-
-
-def _outside_years(ts: np.ndarray) -> np.ndarray:
-    """Mask of NaT (an empty or 'NaT' field) and of years that overflow or are
-    not calendar years, such as Unix epoch seconds read as a year."""
-    years = ts.astype("datetime64[Y]").astype(np.int64) + 1970
-    return (years < 1) | (years > 9999)
+        return _timestamp(text.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{setting}: {exc}") from None
 
 
 def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and prices of any CSV, row by row; IngestError naming the line."""
     timestamps, prices = [], []
-    # numpy warns about time zones before it rejects text after a time
-    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "no explicit representation of timezones")
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -223,20 +209,10 @@ def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
                     if _blank(row):
                         continue
                     raise IngestError(f"{path}: line {reader.line_num}: expected 2 fields")
-                text = row[0].strip()
-                # rarely true, so the exact check stays off the common path; the
-                # sign of an offset follows at least the 10 characters of Y-MM-DDTHH,
-                # and the words numpy reads as the time of the run start with a letter
-                if ("+" in text or "Z" in text or "z" in text or "." in text or "-" in text[10:]
-                        or text[:1].isalpha()):
-                    if defect := _clock_defect(text):
-                        raise IngestError(f"{path}: line {reader.line_num}: "
-                                          f"bad timestamp {row[0]!r}: {defect}")
                 try:
-                    ts = np.datetime64(text)
+                    ts = _timestamp(row[0].strip())
                 except ValueError as exc:
-                    raise IngestError(f"{path}: line {reader.line_num}: "
-                                      f"bad timestamp {row[0]!r}") from exc
+                    raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
                 try:
                     price = float(row[1])
                 except ValueError as exc:
@@ -252,12 +228,7 @@ def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
             raise IngestError(f"{path}: line {_first_non_utf8_line(path)}: not UTF-8 text") from exc
     if len(prices) < 2:
         raise IngestError(f"{path}: need at least 2 rows")
-    ts = np.array(timestamps, dtype="datetime64[s]")
-    bad = np.flatnonzero(_outside_years(ts))
-    if bad.size:
-        raise IngestError(f"{path}: line {_data_row_line(path, bad[0])}: bad timestamp "
-                          f"{timestamps[bad[0]]}, need a date in years 1-9999")
-    return ts, np.array(prices)
+    return np.array(timestamps, dtype="datetime64[s]"), np.array(prices)
 
 
 # bytes read per chunk of the array path: the lists of one chunk's cells are
@@ -265,11 +236,6 @@ def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
 # Two chunks make the csv module's default field limit, which no line of a
 # plain file reaches.
 _CHUNK_BYTES = 1 << 16
-# a plain timestamp, digits mapped to '0': a date, alone or with hours, minutes or
-# seconds after 'T' or ' '; no sign, zone, fraction, word or text for numpy to read
-_DIGITS_TO_0 = str.maketrans("123456789", "000000000")
-_PLAIN_SHAPES = {"0000-00-00", *(f"0000-00-00{sep}{clock}" for sep in "T "
-                                 for clock in ("00", "00:00", "00:00:00"))}
 
 
 def _chunks(fh) -> Iterator[bytes]:
@@ -320,7 +286,8 @@ def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
     if not stamps:
         return None
     ts, p = np.concatenate(stamps), np.concatenate(prices)
-    if ts.size < 2 or not (np.isfinite(p) & (p > 0)).all() or _outside_years(ts).any():
+    # the shapes leave one year that is not a calendar year: 0000
+    if ts.size < 2 or not (np.isfinite(p) & (p > 0)).all() or (ts < np.datetime64("0001")).any():
         return None
     return ts, p
 
@@ -328,11 +295,11 @@ def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
 def ingest_csv(path) -> PriceSeries:
     """Read a UTF-8 `timestamp,price` CSV into a PriceSeries.
 
-    Timestamps are wall-clock times in whole seconds: a UTC offset or a
-    non-zero fraction of a second is an error. Unsorted rows are sorted
-    with a warning; duplicate timestamps are a hard error. The sampling
-    interval is the median timestamp step. Bad content raises an
-    IngestError naming the file and the line (the last line of a quoted
+    Timestamps are wall-clock times in whole seconds, written YYYY-MM-DD,
+    alone or followed by T or a space and HH, HH:MM or HH:MM:SS. Unsorted
+    rows are sorted with a warning; duplicate timestamps are a hard error.
+    The sampling interval is the median timestamp step. Bad content raises
+    an IngestError naming the file and the line (the last line of a quoted
     record that spans several), except for a file with fewer than 2 rows.
     A plain file is parsed as arrays, anything else row by row, with the
     same result and the same errors.

@@ -38,14 +38,22 @@ from volintervals.pipeline import (
     _analyze_one,
     _envelope,
     _read_plain,
+    _read_rows,
     _seed_rows,
     _volatility,
     _write_json,
     load_config,
+    parse_time,
 )
 from volintervals.synthetic import correlated_gaussian
 
 from test_golden import SESSION_CONFIG, write_intraday_csv
+
+
+# what every timestamp must be: in a CSV, a split date and synth --start
+TIMESTAMP_RULE = ("need YYYY-MM-DD in years 1-9999, alone or followed by T or a space "
+                  "and HH, HH:MM or HH:MM:SS")
+RULE = re.escape(TIMESTAMP_RULE)
 
 
 def synth_csv(path, length=20000, kind="correlated", seed=0):
@@ -116,11 +124,11 @@ class TestIngest:
         "multiline_record": (b'timestamp,price\n"2000-01-03\n",1\n2000-01-04,x\n',
                              r"line 4: bad price 'x'"),
         "empty_timestamp": (b"timestamp,price\n2000-01-03,1\n,2\n2000-01-05,3\n",
-                            r"line 3: bad timestamp NaT"),
+                            rf"line 3: bad timestamp '': {RULE}$"),
         "nat_timestamp": (b"timestamp,price\n2000-01-03,1\n2000-01-04,2\nNaT,3\n",
-                          r"line 4: bad timestamp NaT"),
+                          rf"line 4: bad timestamp 'NaT': {RULE}$"),
         "epoch_seconds_as_year": (b"timestamp,price\n946857600,1\n946944000,2\n",
-                                  r"line 2: bad timestamp 946857600, need a date in years 1-9999"),
+                                  rf"line 2: bad timestamp '946857600': {RULE}$"),
         "duplicate_names_line": (b"timestamp,price\n2000-01-04,1\n2000-01-03,2\n\n2000-01-04,3\n",
                                  r"line 5: duplicate timestamp 2000-01-04"),
         "field_over_csv_limit": (b"timestamp,price\n2000-01-03,1\n" + b"9" * 200_000 + b",2\n",
@@ -128,25 +136,31 @@ class TestIngest:
         "not_utf8": (b"timestamp,price\n2000-01-03,1\n2000-01-04,2\n2000-01-05,\xe9\n",
                      r"line 4: not UTF-8 text"),
         "utc_offset_east": (b"timestamp,price\n2020-01-01T09:00+09:00,1\n2020-01-01T09:01+09:00,2\n",
-                            r"line 2: bad timestamp '2020-01-01T09:00\+09:00': UTC offsets"),
+                            rf"line 2: bad timestamp '2020-01-01T09:00\+09:00': {RULE}$"),
         "utc_offset_west": (b"timestamp,price\n2020-01-01 09:00,1\n2020-01-01 09:01-05:00,2\n",
-                            r"line 3: bad timestamp '2020-01-01 09:01-05:00': UTC offsets"),
+                            rf"line 3: bad timestamp '2020-01-01 09:01-05:00': {RULE}$"),
         "utc_offset_z": (b"timestamp,price\n2020-01-01T00:00:00Z,1\n2020-01-02T00:00:00Z,2\n",
-                         r"line 2: bad timestamp '2020-01-01T00:00:00Z': UTC offsets"),
+                         rf"line 2: bad timestamp '2020-01-01T00:00:00Z': {RULE}$"),
         "sub_second_pair": (b"timestamp,price\n2020-01-01T00:00:00.2,1\n2020-01-01T00:00:00.7,2\n",
-                            r"line 2: bad timestamp '2020-01-01T00:00:00.2': fractions of a second"),
+                            rf"line 2: bad timestamp '2020-01-01T00:00:00.2': {RULE}$"),
         "sub_second_later": (b"timestamp,price\n2020-01-01T00:00:01.000,1\n"
                              b"2020-01-01T00:00:02.50,2\n2020-01-01T00:00:03,3\n",
-                             r"line 3: bad timestamp '2020-01-01T00:00:02.50': fractions of a second"),
+                             rf"line 2: bad timestamp '2020-01-01T00:00:01.000': {RULE}$"),
         "ten_zero_digits": (b"timestamp,price\n2020-01-01T00:00:00.0000000000,1\n"
-                            b"2020-01-01T00:00:01,2\n", r"line 2: .*: fractions of a second"),
+                            b"2020-01-01T00:00:01,2\n",
+                            rf"line 2: bad timestamp '2020-01-01T00:00:00.0000000000': {RULE}$"),
         "text_after_time": (b"timestamp,price\n2000-01-01T00:00,1\n2000-01-01T00:01x,2\n",
-                            r"line 3: bad timestamp '2000-01-01T00:01x'$"),
+                            rf"line 3: bad timestamp '2000-01-01T00:01x': {RULE}$"),
         # numpy reads these words, in any letter case, as the time of the run
-        "now": (b"timestamp,price\n2000-01-03,1\nnow,2\n",
-                r"line 3: bad timestamp 'now': it would be read as the time of the run"),
+        "now": (b"timestamp,price\n2000-01-03,1\nnow,2\n", rf"line 3: bad timestamp 'now': {RULE}$"),
         "today_quoted": (b'timestamp,price\n"TODAY",1\n2000-01-04,2\n',
-                         r"line 2: bad timestamp 'TODAY': it would be read as the time of the run"),
+                         rf"line 2: bad timestamp 'TODAY': {RULE}$"),
+        # numpy reads these as whole seconds, but no caller writes them
+        "zero_fraction": (b"timestamp,price\n2000-01-01T00:00:00.000,1\n2000-01-01T00:00:02,3\n",
+                          rf"line 2: bad timestamp '2000-01-01T00:00:00.000': {RULE}$"),
+        "signed_year_and_trailing_dot": (b"timestamp,price\n2000-01-01T00:00:00,1\n"
+                                         b"+2000-01-01 00:00:01.,2\n",
+                                         rf"line 3: bad timestamp '\+2000-01-01 00:00:01.': {RULE}$"),
     }
 
     @pytest.mark.parametrize("case", BAD_CONTENT)
@@ -173,9 +187,10 @@ class TestIngest:
         assert [s["instrument"] for s in report["instruments"]] == ["good"]
 
     def test_whole_seconds_without_offset_accepted(self, tmp_path):
-        f = tmp_path / "w.csv"
-        f.write_text("timestamp,price\n2000-01-01T00:00:00.000,1\n+2000-01-01 00:00:01.,2\n"
+        f = tmp_path / "w.csv"  # plain shapes, but quoted or padded, so only the row reader takes them
+        f.write_text('timestamp,price\n"2000-01-01T00:00:00",1\n 2000-01-01 00:00:01 ,2\n'
                      "2000-01-01T00:00:02,3\n")
+        assert _read_plain(f) is None
         s = ingest_csv(f)
         assert s.timestamps.astype(str).tolist() == [
             "2000-01-01T00:00:00", "2000-01-01T00:00:01", "2000-01-01T00:00:02"]
@@ -306,8 +321,10 @@ class TestArrayIngest:
     LEFT_TO_ROWS = {
         "header_with_a_third_column": (lambda lines: ["timestamp,price,volume", *lines[1:]], None),
         "bad_price_in_a_later_chunk": (_at(4002, "2000-03-01T00:00:00,oops"), "line 4002: bad price 'oops'"),
-        "bad_year_in_a_later_chunk": (_at(4502, "NaT,1"),
-                                      "line 4502: bad timestamp NaT, need a date in years 1-9999"),
+        "bad_year_in_a_later_chunk": (_at(4502, "NaT,1"), rf"line 4502: bad timestamp 'NaT': {RULE}$"),
+        # the one year that has a plain shape but is not a calendar year
+        "year_0000_in_a_later_chunk": (_at(4502, "0000-01-01T00:00:00,1"),
+                                       rf"line 4502: bad timestamp '0000-01-01T00:00:00': {RULE}$"),
         "not_utf8_past_the_first_chunk": (_at(4202, "2001-01-01T00:00:00,\udce9"),
                                           "line 4202: not UTF-8 text$"),
         "quoted_field": (_at(5, '"2001-01-01T00:00:00",1'), None),
@@ -317,20 +334,21 @@ class TestArrayIngest:
         "three_fields_then_one": (_at(5, "2001-01-01T00:00:00,1,2001-01-02T00:00:00", "5"),
                                   "line 6: expected 2 fields"),
         "utc_offset": (_at(4202, "2001-01-01T09:00:00+09:00,1"),
-                       r"line 4202: bad timestamp '2001-01-01T09:00:00\+09:00': UTC offsets"),
+                       rf"line 4202: bad timestamp '2001-01-01T09:00:00\+09:00': {RULE}$"),
         "negative_utc_offset": (_at(4202, "2001-01-01 09:00:00-05:00,1"),
-                                "line 4202: bad timestamp '2001-01-01 09:00:00-05:00': UTC offsets"),
+                                rf"line 4202: bad timestamp '2001-01-01 09:00:00-05:00': {RULE}$"),
         "fraction": (_at(4202, "2001-01-01T00:00:00.5,1"),
-                     "line 4202: bad timestamp '2001-01-01T00:00:00.5': fractions of a second"),
-        "zero_fraction": (_at(5, "2001-01-01T00:00:00.000,1"), None),
-        "now": (_at(4202, "Now,1"), "line 4202: bad timestamp 'Now': it would be read as the time"),
-        "today": (_at(3, "today,1"), "line 3: bad timestamp 'today': it would be read as the time"),
+                     rf"line 4202: bad timestamp '2001-01-01T00:00:00.5': {RULE}$"),
+        "zero_fraction": (_at(5, "2001-01-01T00:00:00.000,1"),
+                          rf"line 5: bad timestamp '2001-01-01T00:00:00.000': {RULE}$"),
+        "now": (_at(4202, "Now,1"), rf"line 4202: bad timestamp 'Now': {RULE}$"),
+        "today": (_at(3, "today,1"), rf"line 3: bad timestamp 'today': {RULE}$"),
         "field_over_csv_limit": (_at(5, "2001-01-01T00:00:00," + "0" * 200_000 + "1"),
                                  "line 5: field larger than field limit"),
         # no plain shape, though numpy reads it: the first instant of the month
-        "year_month": (_at(5002, "2001-01,1"), None),
+        "year_month": (_at(5002, "2001-01,1"), rf"line 5002: bad timestamp '2001-01': {RULE}$"),
         "text_after_time": (_at(4202, "2001-01-01T00:00x,1"),
-                            "line 4202: bad timestamp '2001-01-01T00:00x'$"),
+                            rf"line 4202: bad timestamp '2001-01-01T00:00x': {RULE}$"),
     }
 
     @pytest.mark.parametrize("case", LEFT_TO_ROWS)
@@ -347,6 +365,54 @@ class TestArrayIngest:
             assert not isinstance(outcome[0], str), outcome[0]
         else:
             assert re.match(rf"{re.escape(str(f))}: {message}", outcome[0]), outcome[0]
+
+
+# a timestamp -> whether it keeps the rule, which parse_time and both readers apply alike
+RULE_CASES = {
+    **dict.fromkeys(["2001-01-02", "2001-01-02T09", "2001-01-02 09", "2001-01-02T09:30",
+                     "2001-01-02 09:30", "2001-01-02T09:30:15", "2001-01-02 09:30:15"], True),
+    **dict.fromkeys(["2001", "2001-01", "2001-01-02T09:30:15.000", "2001-01-02T09:30:15.",
+                     "+2001-01-02", "02001-01-02", "0000-01-02", "2001-01-02T09:30+09:00",
+                     "2001-01-02T09:30Z", "now", "NaT", "", "978393600", "2001-01-02T09:30x",
+                     "2000-13-01"], False),
+}
+
+
+@pytest.mark.parametrize("text", RULE_CASES)
+def test_parse_time_and_both_readers_take_the_same_timestamps(tmp_path, text):
+    rows = ["timestamp,price", f"{text},1", "3000-01-01,2"]
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"  # only the row reader takes CRLF
+    lf.write_text("\n".join(rows) + "\n")
+    crlf.write_text("\r\n".join(rows) + "\r\n", newline="")
+    try:
+        cut = parse_time(text, "split_date").astype("datetime64[s]")
+    except ConfigError as exc:
+        assert not RULE_CASES[text]
+        assert str(exc) == f"split_date: bad timestamp {text!r}: {TIMESTAMP_RULE}"
+        assert _read_plain(lf) is None
+        for f in (lf, crlf):
+            with pytest.raises(IngestError) as err:
+                ingest_csv(f)
+            assert str(err.value) == f"{f}: line 2: bad timestamp {text!r}: {TIMESTAMP_RULE}"
+    else:
+        assert RULE_CASES[text]
+        assert _read_plain(lf)[0].tolist() == [cut, np.datetime64("3000-01-01T00:00:00")]
+        for f in (lf, crlf):
+            assert ingest_csv(f).timestamps[0] == cut
+
+
+@given(text=st.tuples(st.sampled_from(["", " "]), TIMESTAMPS, st.sampled_from(["", "\t"])).map("".join))
+def test_parse_time_takes_what_the_row_reader_takes(tmp_path_factory, text):
+    f = tmp_path_factory.mktemp("ingest") / "t.csv"
+    field = '"' + text.replace('"', '""') + '"'  # quoted, so the reader's field is exactly text
+    f.write_text(f"timestamp,price\n{field},1\n{field},2\n", encoding="utf-8", newline="")
+    try:
+        cut = parse_time(text, "split_date")
+    except ConfigError:
+        with pytest.raises(IngestError):
+            _read_rows(f)
+    else:
+        assert _read_rows(f)[0].tolist() == [cut.astype("datetime64[s]")] * 2
 
 
 class TestSplitByDate:
@@ -386,12 +452,12 @@ INVALID_CONFIGS = {
     "negative_seed": ({"seed": -1}, "seed"),
     "split_date_not_a_date": ({"split_date": "1990-13-01"}, "split_date"),
     "split_date_nat": ({"split_date": "NaT"}, "split_date"),
-    "split_date_utc_offset": ({"split_date": "1990-01-01T09:00+09:00"}, "split_date.*UTC offsets"),
-    "split_date_z": ({"split_date": "1990-01-01T00:00Z"}, "split_date.*UTC offsets"),
-    "split_date_fraction": ({"split_date": "1990-01-01T00:00:00.5"}, "split_date.*fractions"),
+    "split_date_utc_offset": ({"split_date": "1990-01-01T09:00+09:00"}, f"split_date: .*: {RULE}"),
+    "split_date_z": ({"split_date": "1990-01-01T00:00Z"}, f"split_date: .*: {RULE}"),
+    "split_date_fraction": ({"split_date": "1990-01-01T00:00:00.5"}, f"split_date: .*: {RULE}"),
     "split_date_text_after_time": ({"split_date": "1990-01-01T00:00x"}, "split_date"),
-    "split_date_now": ({"split_date": "now"}, "split_date.*time of the run"),
-    "split_date_today": ({"split_date": "TODAY"}, "split_date.*time of the run"),
+    "split_date_now": ({"split_date": "now"}, f"split_date: .*: {RULE}"),
+    "split_date_today": ({"split_date": "TODAY"}, f"split_date: .*: {RULE}"),
     "open_without_close": ({"session_open": "09:00"}, "session_close"),
     "close_without_open": ({"session_close": "15:00"}, "session_open"),
     "gaps_without_session": ({"drop_session_gaps": True}, "drop_session_gaps"),
@@ -971,37 +1037,37 @@ class TestCli:
         csv = synth_csv(tmp_path / "s.csv", length=3000, kind="iid", seed=6)
         assert main(["split", str(csv), "--split-date", "1988-06-01T09:00+09:00",
                      "--out", str(tmp_path / "o")]) == 2
-        assert "UTC offsets are not supported" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: split_date: bad timestamp '1988-06-01T09:00+09:00': "
+                                           f"{TIMESTAMP_RULE}\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["split", "analyze"])
     def test_split_date_today_is_rejected(self, tmp_path, capsys, command):
         csv = synth_csv(tmp_path / "s.csv", length=3000, kind="iid", seed=6)
         assert main([command, str(csv), "--split-date", "today", "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == ("error: split_date must be a date, got 'today': "
-                                           "it would be read as the time of the run, give a date\n")
+        assert capsys.readouterr().err == f"error: split_date: bad timestamp 'today': {TIMESTAMP_RULE}\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("start, defect", [
+    # a start, and why the rule is needed to reject it (None: numpy rejects it too)
+    @pytest.mark.parametrize("start, why", [
         ("now", "it would be read as the time of the run"),
         ("Today", "it would be read as the time of the run"),
         ("2000-01-01T09:00+09:00", "UTC offsets are not supported"),
         ("2000-01-01T00:00:00.5", "fractions of a second are not supported"),
         ("2000-13-01", None),
+        ("2000-01-01T09:00:00.000", "zero fractions are a form no caller writes"),
     ])
-    def test_synth_start_follows_the_timestamp_rule(self, tmp_path, capsys, start, defect):
+    def test_synth_start_follows_the_timestamp_rule(self, tmp_path, capsys, start, why):
         out = tmp_path / "s.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # not a time zone warning instead of the error
             assert main(["synth", "--length", "100", "--start", start, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --start must be a date, got {start!r}")
-        assert defect is None or defect in err
+        assert capsys.readouterr().err == f"error: --start: bad timestamp {start!r}: {TIMESTAMP_RULE}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("start, second", [
         ("2000-01-01T09:00", "2000-01-01T09:01:00"),
-        ("2000-01-01T09:00:00.000", "2000-01-01T09:01:00"),
+        ("2000-01-01 09:00", "2000-01-01T09:01:00"),
     ])
     def test_synth_start_of_whole_seconds_is_kept(self, tmp_path, start, second):
         out = tmp_path / "s.csv"
@@ -1042,6 +1108,41 @@ class TestCli:
             assert main(["synth", "--kind", kind, "--length", str(length), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: --length must be >= 2, got {length}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--length", "3", "--interval", "99999999999999999999d"],
+        ["--length", "3", "--interval", "999999999999d"],
+        ["--start", "9999-12-31", "--length", "3"],
+    ], ids=["interval_past_int64", "interval_past_year_9999", "start_near_year_9999"])
+    def test_synth_past_year_9999_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.csv"
+        assert main(["synth", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: --start \S+, --interval \S+ and --length 3 "
+                            r"put the last row after 9999-12-31T23:59:59\n", err), err
+        assert not out.exists()
+
+    def test_synth_may_end_at_the_last_second(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--start", "9999-12-31T23:59:58", "--length", "2", "--interval", "1",
+                     "--out", str(out)]) == 0
+        assert ingest_csv(out).timestamps[-1] == np.datetime64("9999-12-31T23:59:59")
+
+    def test_synth_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "split"])
+    def test_out_that_cannot_be_written_exits_2_naming_it(self, tmp_path, capsys, command):
+        csv = synth_csv(tmp_path / "a.csv", length=3000, kind="iid", seed=6)
+        before = csv.read_bytes()
+        flags = ["--split-date", "1988-06-01"] if command == "split" else ["--q", "1", "--ensemble", "2"]
+        assert main([command, str(csv), *flags, "--out", str(csv)]) == 2  # a file, not a directory
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(csv) in err, err
+        assert csv.read_bytes() == before
 
     def test_analyze_prints_thresholds_in_ascending_order(self, tmp_path, capsys):
         # rare large jumps, each above 10 standard deviations, so q=2 and q=10 both pass
