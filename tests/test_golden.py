@@ -1,4 +1,4 @@
-"""Byte identity of a small `analyze` tree against a committed sha256 manifest.
+"""Byte identity of small `analyze`, stage and `split` trees against a committed sha256 manifest.
 
 Any change to the analysis, the seeds, the number formatting or the file
 layout shows up here as a changed, missing or extra file. A change that
@@ -29,6 +29,8 @@ RUNS = {
     "linear_split": [*QS, "--ensemble", "20", "--linear-bins", "--subsets", "2",
                      "--split-date", "1995-01-01"],
 }
+# the per-stage subcommands, each at the default thresholds
+STAGE_COMMANDS = ("intervals", "pdf", "conditional", "clusters")
 # intraday detrending on session slots, with session-gap intervals dropped
 SESSION_CONFIG = """q = 1,1.5,2
 ensemble = 20
@@ -70,6 +72,11 @@ def golden_tree(tmp: Path) -> dict[str, str]:
         out = tmp / name
         assert main(["analyze", str(csv), *flags, "--out", str(out)]) == 1  # q=6 fails
         _add_tree(digests, name, out)
+    for name in STAGE_COMMANDS:
+        assert main([name, str(csv), "--out", str(tmp / "stages" / name)]) == 0
+    _add_tree(digests, "stages", tmp / "stages")
+    assert main(["split", str(csv), "--split-date", "1995-01-01", "--out", str(tmp / "split")]) == 0
+    _add_tree(digests, "split", tmp / "split")
     intraday, config = tmp / "intraday.csv", tmp / "session.cfg"
     write_intraday_csv(intraday)
     config.write_text(f"input = {intraday}\nout = {tmp / 'session'}\n{SESSION_CONFIG}")
