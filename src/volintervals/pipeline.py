@@ -8,7 +8,6 @@ base seed, so a fixed config reproduces byte-identical outputs.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
@@ -46,7 +45,6 @@ __all__ = [
     "split_by_date",
     "parse_time",
     "load_config",
-    "q_summary",
     "run_pipeline",
     "run_stage",
 ]
@@ -86,6 +84,15 @@ class AnalysisConfig:
         if not self.thresholds or not all(math.isfinite(q) and q > 0 for q in self.thresholds):
             raise ConfigError(f"thresholds must be finite, positive and non-empty, got {self.thresholds}")
         self.thresholds = sorted({float(q) for q in self.thresholds})
+        for a, b in zip(self.thresholds, self.thresholds[1:]):  # q{q:g} names each one's outputs
+            if f"{a:g}" == f"{b:g}":
+                raise ConfigError(f"thresholds {a} and {b} both print as '{a:g}'")
+        first: dict = {}  # file stem -> the input that has it; out/{stem}/ holds its outputs
+        for p in self.inputs:
+            if (stem := Path(p).stem) in first:
+                raise ConfigError(f"inputs {first[stem]} and {p} share the file stem {stem!r}, "
+                                  "which names their output directory")
+            first[stem] = p
         if self.binning not in ("linear", "logarithmic"):
             raise ConfigError(f"binning must be 'linear' or 'logarithmic', got {self.binning!r}")
         for key, least in (("n_bins", 2), ("n_subsets", 1), ("seed", 0), ("ensemble", 1),
@@ -143,10 +150,6 @@ def load_config(path, **overrides) -> AnalysisConfig:
     return AnalysisConfig(**{**kw, **overrides})
 
 
-def _blank(row) -> bool:
-    return not row or (len(row) == 1 and not row[0].strip())
-
-
 def _first_non_utf8_line(path: Path) -> int:
     data = path.read_bytes()
     try:
@@ -154,15 +157,6 @@ def _first_non_utf8_line(path: Path) -> int:
     except UnicodeDecodeError as exc:
         return len(re.findall(rb"\r\n?|\n", data[:exc.start])) + 1
     return 1
-
-
-def _data_row_line(path: Path, k: int) -> int:
-    """File line of the k-th (0-based) data row, for errors found after the read."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        rows = (reader.line_num for row in reader if not _blank(row))
-        return next(itertools.islice(rows, k, None))
 
 
 # a timestamp, digits mapped to '0': a date, alone or with hours, minutes or seconds
@@ -195,9 +189,10 @@ def parse_time(text: str, setting: str) -> np.datetime64:
         raise ConfigError(f"{setting}: {exc}") from None
 
 
-def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps and prices of any CSV, row by row; IngestError naming the line."""
-    timestamps, prices = [], []
+def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Timestamps, prices and file lines of any CSV's rows, read row by row;
+    IngestError naming the line."""
+    timestamps, prices, lines = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -206,7 +201,7 @@ def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
                 raise IngestError(f"{path}: line 1: expected header 'timestamp,price'")
             for row in reader:
                 if len(row) < 2:
-                    if _blank(row):
+                    if not row or not row[0].strip():  # a blank line
                         continue
                     raise IngestError(f"{path}: line {reader.line_num}: expected 2 fields")
                 try:
@@ -222,13 +217,14 @@ def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
                                       f"positive, got {row[1]!r}")
                 timestamps.append(ts)
                 prices.append(price)
+                lines.append(reader.line_num)
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise IngestError(f"{path}: line {_first_non_utf8_line(path)}: not UTF-8 text") from exc
     if len(prices) < 2:
         raise IngestError(f"{path}: need at least 2 rows")
-    return np.array(timestamps, dtype="datetime64[s]"), np.array(prices)
+    return np.array(timestamps, dtype="datetime64[s]"), np.array(prices), lines
 
 
 # bytes read per chunk of the array path: the lists of one chunk's cells are
@@ -252,15 +248,16 @@ def _chunks(fh) -> Iterator[bytes]:
         yield rest + b"\n"
 
 
-def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
-    """Timestamps and prices of a plain CSV, parsed as arrays a chunk at a time;
-    None for anything else, which is left to _read_rows.
+def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray, range] | None:
+    """Timestamps, prices and file lines of a plain CSV's rows, parsed as arrays
+    a chunk at a time; None for anything else, which is left to _read_rows.
 
     Plain is the exact header `timestamp,price`, then ASCII lines shorter
     than two chunks of exactly two fields, without carriage returns. All
     timestamps have _PLAIN_SHAPES and parse, in years 1-9999, and all prices
     (so none quoted) parse as finite and positive; there are at least 2 rows.
-    Such a file is one that _read_rows reads, to the same arrays.
+    Such a file is one that _read_rows reads, to the same arrays; its rows
+    are its lines after the header.
     """
     stamps, prices = [], []
     with open(path, "rb") as fh:
@@ -289,7 +286,7 @@ def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
     # the shapes leave one year that is not a calendar year: 0000
     if ts.size < 2 or not (np.isfinite(p) & (p > 0)).all() or (ts < np.datetime64("0001")).any():
         return None
-    return ts, p
+    return ts, p, range(2, ts.size + 2)
 
 
 def ingest_csv(path) -> PriceSeries:
@@ -307,7 +304,7 @@ def ingest_csv(path) -> PriceSeries:
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"{path}: no such file")
-    ts, p = _read_plain(path) or _read_rows(path)
+    ts, p, lines = _read_plain(path) or _read_rows(path)
     order = np.argsort(ts, kind="stable")
     if not np.array_equal(order, np.arange(ts.size)):
         warnings.warn(f"{path}: timestamps out of order; sorting")
@@ -315,7 +312,7 @@ def ingest_csv(path) -> PriceSeries:
     steps = np.diff(ts).astype(np.int64)  # seconds
     dup = np.flatnonzero(steps == 0)
     if dup.size:
-        raise IngestError(f"{path}: line {_data_row_line(path, order[dup[0] + 1])}: "
+        raise IngestError(f"{path}: line {lines[order[dup[0] + 1]]}: "
                           f"duplicate timestamp {ts[dup[0]]}")
     step = np.median(steps)
     return PriceSeries(
@@ -439,15 +436,15 @@ def _cluster_tables(seq, cfg):
                 (["above"] * len(above) + ["below"] * len(below), surv[:, 0], surv[:, 1]))
 
 
-# stage name -> (label that attributes its errors, tables of one threshold);
-# `analyze` runs them all in this order and then the surrogate of every
-# threshold that passed them, a subcommand runs the stage of its name
+# stage name, which labels its errors -> tables of one threshold; `analyze`
+# runs them all in this order and then the surrogate of every threshold that
+# passed them, a subcommand runs the stage of its name
 STAGES = {
-    "intervals": ("extract", _intervals_tables),
-    "pdf": ("pdf", _pdf_tables),
-    "conditional": ("conditional", _conditional_tables),
-    "conditional_shuffled": ("conditional", _shuffled_mean_tables),
-    "clusters": ("clusters", _cluster_tables),
+    "intervals": _intervals_tables,
+    "pdf": _pdf_tables,
+    "conditional": _conditional_tables,
+    "conditional_shuffled": _shuffled_mean_tables,
+    "clusters": _cluster_tables,
 }
 
 
@@ -492,12 +489,6 @@ def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
     return intraday_detrend(vol, pattern, slots), session_ids
 
 
-def q_summary(seq) -> dict:
-    """Interval count, mean interval and distance from the exponential of one threshold."""
-    return {"count": int(len(seq)), "mean_interval": seq.mean_interval,
-            "poisson_deviation": poisson_deviation(seq)}
-
-
 def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
     """Run stage `name` on cfg.inputs[0] per threshold, writing under cfg.out_dir.
 
@@ -508,12 +499,11 @@ def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
     """
     out = Path(cfg.out_dir)
     vol, session_ids = _volatility(ingest_csv(cfg.inputs[0]), cfg)
-    _, tables = STAGES[name]
     counts = []
     for q in cfg.thresholds:
         seq = extract_intervals(vol, q, session_ids=session_ids,
                                 drop_session_gaps=cfg.drop_session_gaps)
-        for t in tables(seq, cfg):
+        for t in STAGES[name](seq, cfg):
             _write_tsv(out / f"{t.stem}_q{q:g}{t.suffix}.tsv", t.header, t.columns)
         counts.append({"q": q, "count": len(seq), "mean_interval": seq.mean_interval})
         if name == "pdf":
@@ -528,7 +518,8 @@ def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
 
 def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
     """Every stage but the surrogate on one unit, writing its TSVs and collapse_matrix.json.
-    Returns per threshold its q_summary, or the (stage, error) that stopped it."""
+    Returns per threshold its interval count, mean interval and distance from the
+    exponential, or the (stage, error) that stopped it."""
     seqs, outcomes = {}, []
     for q in cfg.thresholds:
         stage = "extract"
@@ -536,10 +527,11 @@ def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
             seq = extract_intervals(vol, q, session_ids=session_ids,
                                     drop_session_gaps=cfg.drop_session_gaps)
             seqs[q] = seq
-            for stage, tables in STAGES.values():
+            for stage, tables in STAGES.items():
                 for t in tables(seq, cfg):
                     _write_tsv(outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv", t.header, t.columns)
-            outcomes.append(q_summary(seq))
+            outcomes.append({"count": len(seq), "mean_interval": seq.mean_interval,
+                             "poisson_deviation": poisson_deviation(seq)})
         except ValueError as exc:  # InsufficientEvents/PairsError included
             outcomes.append((stage, exc))
 
@@ -568,8 +560,10 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
     out = Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
     report: dict = {"instruments": [], "errors": []}
     # one pool, each task taking only what this thread knows when it queues it:
-    # per unit, its stages and one shuffle per seed that serves every threshold
-    with ThreadPoolExecutor(max_workers=min(cfg.max_workers, _usable_cpus())) as ex:
+    # per unit, its stages and one shuffle per seed that serves every threshold;
+    # an error that ends the run cancels the seed tasks still queued
+    ex = ThreadPoolExecutor(max_workers=min(cfg.max_workers, _usable_cpus()))
+    try:
         queued = []  # (summary, outdir, stage task, seed tasks); no tasks if volatility failed
         for path in cfg.inputs:
             try:
@@ -626,6 +620,8 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
             _write_json(outdir / "summary.json", summary)
             report["instruments"].append(summary)
             report["errors"].extend(summary["errors"])
+    finally:
+        ex.shutdown(cancel_futures=True)
     report["exit_code"] = 0 if not report["errors"] else 1
     _write_json(out / "report.json", report)
     return report

@@ -295,6 +295,14 @@ def test_ingest_matches_the_row_reader(tmp_path_factory, header, rows, others, n
         assert _ingest_outcome(ingest_csv, f) == _ingest_outcome(_row_reader, f)
 
 
+@given(rows=st.lists(PLAIN_ROWS, min_size=2, max_size=20), final_newline=st.booleans())
+def test_both_readers_give_each_row_its_line(tmp_path_factory, rows, final_newline):
+    # a plain file's rows are its lines after the header, one each
+    f = tmp_path_factory.mktemp("ingest") / "p.csv"
+    f.write_text("\n".join(["timestamp,price", *rows]) + ("\n" if final_newline else ""))
+    assert list(_read_plain(f)[2]) == _read_rows(f)[2]
+
+
 def _at(line, *rows):
     """An edit of a file's lines that puts `rows` at `line` (the header is line 1)."""
     return lambda lines: lines[:line - 1] + list(rows) + lines[line - 1:]
@@ -303,7 +311,7 @@ def _at(line, *rows):
 class TestArrayIngest:
     def test_plain_file_takes_the_array_path(self, tmp_path):
         f = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=3)
-        ts, p = _read_plain(f)
+        ts, p, _ = _read_plain(f)
         s = _row_reader(f)
         assert np.array_equal(ts, s.timestamps) and np.array_equal(p.view(np.int64), s.prices.view(np.int64))
 
@@ -312,7 +320,7 @@ class TestArrayIngest:
         stamps = [f"2001-01-0{day}{time}" for day in (1, 2)]
         f = tmp_path / "x.csv"
         f.write_text("timestamp,price\n" + "".join(f"{t},{k + 1}\n" for k, t in enumerate(stamps)))
-        ts, p = _read_plain(f)
+        ts, p, _ = _read_plain(f)
         assert ts.dtype == np.dtype("datetime64[s]") and p.tolist() == [1.0, 2.0]
         assert ts.tolist() == [datetime.fromisoformat(t) for t in stamps]
         assert np.array_equal(ts, _row_reader(f).timestamps)
@@ -755,6 +763,27 @@ def test_seeds_start_while_their_unit_runs_its_stages(tmp_path, monkeypatch):
     assert seen == [True]
 
 
+def test_a_failed_write_cancels_the_queued_seeds(tmp_path, monkeypatch, capsys):
+    # --out names a file, so the unit's first write fails while its 100 seeds wait in the queue
+    calls = []
+    seed_rows = volintervals.pipeline._seed_rows
+
+    def slow_seed_rows(*args):
+        calls.append(args[2])
+        time.sleep(0.01)
+        return seed_rows(*args)
+
+    monkeypatch.setattr(volintervals.pipeline, "_seed_rows", slow_seed_rows)
+    monkeypatch.setattr(volintervals.pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+    csv = synth_csv(tmp_path / "inst.csv", length=3000, seed=1)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["analyze", str(csv), "--q", "1", "--ensemble", "100", "--out", str(afile)]) == 2
+    assert str(afile) in capsys.readouterr().err
+    assert len(calls) < 10
+
+
 def test_unit_without_intervals_at_any_threshold_shuffles_nothing(tmp_path, monkeypatch):
     seeds = []
     shuffle = volintervals.pipeline.shuffle_volatility
@@ -1143,6 +1172,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(csv) in err, err
         assert csv.read_bytes() == before
+
+    @pytest.mark.parametrize("via", ["arguments", "config"])
+    def test_inputs_with_one_stem_exit_2_naming_both(self, tmp_path, monkeypatch, capsys, via):
+        # out/<stem>/ would hold one tree, each file from whichever unit wrote it last
+        monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+        a = synth_csv(tmp_path / "a" / "x.csv", length=4000, seed=1)
+        b = synth_csv(tmp_path / "b" / "x.csv", length=3000, seed=2)
+        out = tmp_path / "out"
+        flags = ["--q", "1", "--q", "2", "--ensemble", "5", "--out", str(out)]
+        if via == "config":
+            config = tmp_path / "c.cfg"
+            config.write_text(f"input = {a}\ninput = {b}\n")
+            flags += ["--config", str(config)]
+        else:
+            flags += [str(a), str(b)]
+        assert main(["analyze", *flags]) == 2
+        assert capsys.readouterr().err == (f"error: inputs {a} and {b} share the file stem 'x', "
+                                           "which names their output directory\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "pdf"])
+    def test_thresholds_with_one_name_exit_2_naming_both(self, tmp_path, capsys, command):
+        # q1/, the per_q key and the pdf line of one would stand for both
+        csv = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=5)
+        out = tmp_path / "o"
+        assert main([command, str(csv), "--q", "1.0000001", "--q", "2", "--q", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: thresholds 1.0 and 1.0000001 both print as '1'\n"
+        assert not out.exists()
 
     def test_analyze_prints_thresholds_in_ascending_order(self, tmp_path, capsys):
         # rare large jumps, each above 10 standard deviations, so q=2 and q=10 both pass
