@@ -1,11 +1,11 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and prints the stdout pinned in the golden manifest."""
 
+import json
 import runpy
-from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+from test_golden import DEMOS, MANIFEST, text_digest
 
 
 def test_demos_found():
@@ -15,4 +15,6 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(demo), run_name="__main__")
-    assert capsys.readouterr().out.strip()
+    out = capsys.readouterr().out
+    assert out.strip()
+    assert text_digest(out) == json.loads(MANIFEST.read_text())[f"demos/{demo.stem}.stdout"]
