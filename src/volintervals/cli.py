@@ -114,6 +114,8 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"--length must be >= 2, got {args.length}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not 0 < args.gamma < 1:  # read only by --kind correlated, checked for every kind
+        raise ConfigError(f"--gamma must lie in (0, 1), got {args.gamma}")
     seconds = _parse_step(args.interval)
     start = parse_time(args.start, "--start").astype("datetime64[s]")
     if int((_LAST_SECOND - start).astype(np.int64)) < (args.length - 1) * seconds:

@@ -7,7 +7,7 @@ events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class IntervalSequence:
 
     threshold_q: float
     intervals: np.ndarray  # int64, each >= 1
-    mean_interval: float = None
+    mean_interval: float = field(init=False)
 
     def __post_init__(self):
         iv = np.asarray(self.intervals, dtype=np.int64)

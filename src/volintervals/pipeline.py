@@ -49,7 +49,6 @@ __all__ = [
     "run_stage",
 ]
 
-OUT_DIR_ENV = "VOLINTERVALS_OUT"
 _SURROGATE_KMAX = 15
 
 
@@ -117,7 +116,7 @@ def load_config(path, **overrides) -> AnalysisConfig:
     kw: dict = {}
     first_line: dict = {}  # key -> the line that set it
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise ConfigError(f"{path}: cannot read config file: {getattr(exc, 'strerror', exc)}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -193,7 +192,7 @@ def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Timestamps, prices and file lines of any CSV's rows, read row by row;
     IngestError naming the line."""
     timestamps, prices, lines = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: drops the byte-order mark Excel writes
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -552,12 +551,11 @@ def _usable_cpus() -> int:
 def run_pipeline(cfg: AnalysisConfig) -> dict:
     """Run every configured analysis; returns the report bundle.
 
-    Outputs go under cfg.out_dir, or under $VOLINTERVALS_OUT when that is
-    set. Failures are attributed to (instrument, q, stage) and do not stop
-    independent units. The report's "exit_code" is 0 only if everything
-    succeeded.
+    Outputs go under cfg.out_dir. Failures are attributed to (instrument,
+    q, stage) and do not stop independent units. The report's "exit_code"
+    is 0 only if everything succeeded.
     """
-    out = Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
+    out = Path(cfg.out_dir)
     report: dict = {"instruments": [], "errors": []}
     # one pool, each task taking only what this thread knows when it queues it:
     # per unit, its stages and one shuffle per seed that serves every threshold;

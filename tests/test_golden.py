@@ -107,8 +107,7 @@ def golden_tree(tmp: Path) -> dict[str, str]:
     return digests
 
 
-def test_analyze_tree_matches_manifest(tmp_path, monkeypatch):
-    monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+def test_analyze_tree_matches_manifest(tmp_path):
     expected = {k: v for k, v in json.loads(MANIFEST.read_text()).items()
                 if not k.startswith("demos/")}
     got = golden_tree(tmp_path)

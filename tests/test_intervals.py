@@ -4,7 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from volintervals import InsufficientEventsError, VolatilitySeries, extract_intervals
+from volintervals import (
+    InsufficientEventsError,
+    IntervalSequence,
+    VolatilitySeries,
+    extract_intervals,
+)
 
 
 def geometric_cdf_ks(intervals, p):
@@ -81,6 +86,12 @@ def test_interval_sum_identity():
     seq = extract_intervals(VolatilitySeries(g), 1.2)
     events = np.flatnonzero(g > 1.2)
     assert seq.intervals.sum() == events[-1] - events[0]
+
+
+def test_mean_interval_is_computed_not_given():
+    assert IntervalSequence(1.0, [1, 2]).mean_interval == 1.5
+    with pytest.raises(TypeError):
+        IntervalSequence(1.0, [1, 2], mean_interval=9)
 
 
 def test_time_reversal():

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 import sys
@@ -40,6 +41,7 @@ from volintervals.pipeline import (
     _read_plain,
     _read_rows,
     _seed_rows,
+    _usable_cpus,
     _volatility,
     _write_json,
     load_config,
@@ -90,6 +92,17 @@ class TestIngest:
         with pytest.warns(UserWarning, match="out of order"):
             s = ingest_csv(f)
         assert s.prices.tolist() == [1.0, 2.0]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as Excel's "CSV UTF-8" writes it
+        text = b"timestamp,price\n2000-01-01,1\n2000-01-02,2\n2000-01-03,1.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        a, b = ingest_csv(plain), ingest_csv(marked)
+        assert a.timestamps.tolist() == b.timestamps.tolist()
+        assert a.prices.tolist() == b.prices.tolist() == [1.0, 2.0, 1.5]
+        assert list(_read_plain(plain)[2]) == _read_rows(marked)[2] == [2, 3, 4]
 
     def test_bad_header(self, tmp_path):
         f = tmp_path / "e.csv"
@@ -227,7 +240,9 @@ ROWS = st.one_of(
 )
 
 
-@given(header=st.sampled_from(["timestamp,price", "Timestamp , PRICE,volume", "time,price", ""]),
+@pytest.mark.long_search
+@given(header=st.sampled_from(["timestamp,price", "\ufefftimestamp,price", "Timestamp , PRICE,volume",
+                                 "time,price", ""]),
        rows=st.lists(ROWS, max_size=8), newline=st.sampled_from(["\n", "\r\n", "\r"]))
 def test_any_csv_text_is_a_series_or_an_ingest_error_naming_the_line(
         tmp_path_factory, header, rows, newline):
@@ -278,7 +293,9 @@ PLAIN_ROWS = st.tuples(
 ).map(lambda r: f"{r[0].date().isoformat() if r[1] is None else r[0].isoformat(r[1], r[2])},{r[3]!r}")
 
 
-@given(header=st.sampled_from(["timestamp,price"] * 8 + ["Timestamp , PRICE", "timestamp,price,volume"]),
+@pytest.mark.long_search
+@given(header=st.sampled_from(["timestamp,price"] * 8 + ["Timestamp , PRICE", "timestamp,price,volume",
+                                                       "\ufefftimestamp,price"]),
        rows=st.lists(PLAIN_ROWS, max_size=20),
        others=st.just([]) | st.lists(st.tuples(st.integers(min_value=0), ROWS), max_size=2),
        newline=st.sampled_from(["\n"] * 8 + ["\r\n"]), final_newline=st.booleans(),
@@ -295,6 +312,7 @@ def test_ingest_matches_the_row_reader(tmp_path_factory, header, rows, others, n
         assert _ingest_outcome(ingest_csv, f) == _ingest_outcome(_row_reader, f)
 
 
+@pytest.mark.long_search
 @given(rows=st.lists(PLAIN_ROWS, min_size=2, max_size=20), final_newline=st.booleans())
 def test_both_readers_give_each_row_its_line(tmp_path_factory, rows, final_newline):
     # a plain file's rows are its lines after the header, one each
@@ -409,6 +427,7 @@ def test_parse_time_and_both_readers_take_the_same_timestamps(tmp_path, text):
             assert ingest_csv(f).timestamps[0] == cut
 
 
+@pytest.mark.long_search
 @given(text=st.tuples(st.sampled_from(["", " "]), TIMESTAMPS, st.sampled_from(["", "\t"])).map("".join))
 def test_parse_time_takes_what_the_row_reader_takes(tmp_path_factory, text):
     f = tmp_path_factory.mktemp("ingest") / "t.csv"
@@ -722,6 +741,11 @@ class TestSurrogateEnvelopesOnAPool(TestSurrogateEnvelopes):
             yield
 
 
+def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS and Windows
+    assert _usable_cpus() == (os.cpu_count() or 1)
+
+
 def test_surrogate_seeds_run_on_pool_threads(tmp_path, monkeypatch):
     threads = set()
     shuffle = volintervals.pipeline.shuffle_volatility
@@ -775,7 +799,6 @@ def test_a_failed_write_cancels_the_queued_seeds(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(volintervals.pipeline, "_seed_rows", slow_seed_rows)
     monkeypatch.setattr(volintervals.pipeline, "_usable_cpus", lambda: 2)
-    monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
     csv = synth_csv(tmp_path / "inst.csv", length=3000, seed=1)
     afile = tmp_path / "afile"
     afile.write_text("")
@@ -839,8 +862,7 @@ def _analyze_with_workers(config: Path, out: Path, workers: int) -> dict:
 
 
 @pytest.mark.parametrize("run", ["daily_split", "session"])
-def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, run):
-    monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, run):
     config = tmp_path / "run.cfg"
     if run == "daily_split":  # the golden linear_split run: 2 units
         csv = synth_csv(tmp_path / "inst.csv", length=2**13, seed=3)
@@ -854,10 +876,9 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, run):
     assert _analyze_with_workers(config, tmp_path / "w4", 4) == serial
 
 
-def test_many_units_on_two_workers_with_constant_thread_switches(tmp_path, monkeypatch):
+def test_many_units_on_two_workers_with_constant_thread_switches(tmp_path):
     # 6 units on 2 threads, then their seeds, with the GIL handed over as
     # often as possible to shake out ordering bugs
-    monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
     inputs = [str(synth_csv(tmp_path / f"i{k}.csv", length=3000, seed=k)) for k in range(3)]
     cfg = dict(inputs=inputs, thresholds=[1.0, 1.5], ensemble=12, split_date="1990-01-01")
     run_pipeline(AnalysisConfig(**cfg, max_workers=1, out_dir=str(tmp_path / "serial")))
@@ -873,6 +894,11 @@ def test_many_units_on_two_workers_with_constant_thread_switches(tmp_path, monke
 
 
 class TestConfigFile:
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        f = tmp_path / "cfg"
+        f.write_bytes(b"\xef\xbb\xbfinput = a.csv\nq = 2\n")
+        assert load_config(f) == AnalysisConfig(inputs=["a.csv"], thresholds=[2.0])
+
     def test_round_trip(self, tmp_path):
         f = tmp_path / "cfg"
         f.write_text(
@@ -925,16 +951,16 @@ class TestConfigFile:
         f.write_text("input = a.csv\n")
         assert load_config(f) == AnalysisConfig(inputs=["a.csv"])
 
-    def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
-        # it redirects analyze, whatever --out says, and no subcommand
+    def test_an_exported_out_variable_redirects_no_command(self, tmp_path, monkeypatch):
+        # the output directory is the default, `out =` or --out, and no environment variable
         csv = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=5)
-        monkeypatch.setenv("VOLINTERVALS_OUT", str(tmp_path / "envout"))
+        monkeypatch.setenv(f"{volintervals.__name__.upper()}_OUT", str(tmp_path / "envout"))
         assert main(["analyze", str(csv), "--q", "1", "--ensemble", "2",
-                     "--out", str(tmp_path / "ignored")]) == 0
-        assert (tmp_path / "envout" / "s" / "summary.json").exists()
-        assert main(["intervals", str(csv), "--q", "1", "--out", str(tmp_path / "o")]) == 0
-        assert (tmp_path / "o" / "intervals_q1.tsv").exists()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["envout", "o", "s.csv"]
+                     "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "s" / "summary.json").exists()
+        assert main(["intervals", str(csv), "--q", "1", "--out", str(tmp_path / "o2")]) == 0
+        assert (tmp_path / "o2" / "intervals_q1.tsv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "o2", "s.csv"]
 
 
 class TestCli:
@@ -1014,8 +1040,7 @@ class TestCli:
                 twin = tmp_path / "a" / "s" / f"q{m[2]}" / f"{m[1]}{m[3] or ''}.tsv"
                 assert f.read_bytes() == twin.read_bytes(), f.name
 
-    def test_typed_flags_override_the_config_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+    def test_typed_flags_override_the_config_file(self, tmp_path):
         csv = synth_csv(tmp_path / "s.csv", length=10000, kind="correlated", seed=6)
         config = tmp_path / "c.cfg"
         config.write_text(f"input = {csv}\nq = 1\nseed = 3\nensemble = 4\nbins = 12\n"
@@ -1031,8 +1056,7 @@ class TestCli:
         assert (tmp_path / "typed" / "s" / "q2" / "cluster_surrogate.tsv").read_text().startswith(
             "# seeds=9\n")
 
-    def test_typed_values_replace_the_file_before_it_is_checked(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
+    def test_typed_values_replace_the_file_before_it_is_checked(self, tmp_path):
         csv = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=5)
         config = tmp_path / "c.cfg"
         config.write_text("q = 1\nseed = -1\nensemble = 2\n")  # no input, a bad seed
@@ -1157,6 +1181,14 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert ingest_csv(out).timestamps[-1] == np.datetime64("9999-12-31T23:59:59")
 
+    @pytest.mark.parametrize("kind, gamma, shown", [("correlated", "1.5", "1.5"), ("iid", "5", "5.0"),
+                                                    ("correlated", "nan", "nan"), ("iid", "0", "0.0")])
+    def test_synth_gamma_outside_0_1_exits_2(self, tmp_path, capsys, kind, gamma, shown):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--kind", kind, "--gamma", gamma, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --gamma must lie in (0, 1), got {shown}\n"
+        assert not out.exists()
+
     def test_synth_negative_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert main(["synth", "--seed", "-1", "--out", str(out)]) == 2
@@ -1174,9 +1206,8 @@ class TestCli:
         assert csv.read_bytes() == before
 
     @pytest.mark.parametrize("via", ["arguments", "config"])
-    def test_inputs_with_one_stem_exit_2_naming_both(self, tmp_path, monkeypatch, capsys, via):
+    def test_inputs_with_one_stem_exit_2_naming_both(self, tmp_path, capsys, via):
         # out/<stem>/ would hold one tree, each file from whichever unit wrote it last
-        monkeypatch.delenv("VOLINTERVALS_OUT", raising=False)
         a = synth_csv(tmp_path / "a" / "x.csv", length=4000, seed=1)
         b = synth_csv(tmp_path / "b" / "x.csv", length=3000, seed=2)
         out = tmp_path / "out"
