@@ -109,7 +109,15 @@ def _parse_step(text) -> int:
 _LAST_SECOND = np.datetime64("9999-12-31T23:59:59")
 
 
+def _out_path(text) -> Path:
+    """synth's and split's --out; a blank one would name the working directory."""
+    if not text.strip():
+        raise ConfigError(f"--out must not be blank, got {text!r}")
+    return Path(text)
+
+
 def _cmd_synth(args) -> int:
+    out = _out_path(args.out)
     if args.length < 2:
         raise ConfigError(f"--length must be >= 2, got {args.length}")
     if args.seed < 0:
@@ -131,17 +139,17 @@ def _cmd_synth(args) -> int:
     logp = np.cumsum(1e-4 * g)
     prices = 100.0 * np.exp(logp - logp[0])
     ts = start + np.arange(args.length) * step
-    series = PriceSeries(instrument_id=Path(args.out).stem, timestamps=ts,
+    series = PriceSeries(instrument_id=out.stem, timestamps=ts,
                          prices=prices, sampling_interval=step)
-    write_csv(series, args.out)
+    write_csv(series, out)
     print(f"wrote {args.out} ({args.length} rows)")
     return 0
 
 
 def _cmd_split(args) -> int:
+    out = _out_path(args.out)
     series = ingest_csv(args.input)
     pre, post = split_by_date(series, args.split_date)
-    out = Path(args.out)
     for part in (pre, post):
         write_csv(part, out / f"{part.instrument_id}.csv")
         print(f"wrote {out / (part.instrument_id + '.csv')} ({len(part)} rows)")

@@ -80,6 +80,11 @@ class AnalysisConfig:
     def __post_init__(self):
         if not self.inputs:
             raise ConfigError("no input files configured")
+        for p in self.inputs:  # a blank name would be read as ".", and out as the working directory
+            if not str(p).strip():
+                raise ConfigError(f"inputs must not be blank, got {p!r}")
+        if not str(self.out_dir).strip():
+            raise ConfigError(f"out_dir must not be blank, got {self.out_dir!r}")
         if not self.thresholds or not all(math.isfinite(q) and q > 0 for q in self.thresholds):
             raise ConfigError(f"thresholds must be finite, positive and non-empty, got {self.thresholds}")
         self.thresholds = sorted({float(q) for q in self.thresholds})
@@ -98,7 +103,7 @@ class AnalysisConfig:
                            ("max_workers", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
-        if self.split_date:
+        if self.split_date is not None:
             parse_time(self.split_date, "split_date")
         if bool(self.session_open) != bool(self.session_close):
             raise ConfigError("session_open and session_close must be given together")
@@ -126,6 +131,8 @@ def load_config(path, **overrides) -> AnalysisConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if not value:
+            raise ConfigError(f"{path}:{lineno}: empty value for {key}")
         try:
             if key == "input":
                 kw.setdefault("inputs", []).append(value)

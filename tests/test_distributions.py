@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 import volintervals
 from volintervals import (
@@ -18,7 +18,7 @@ from volintervals import (
     poisson_deviation,
     scale_pdf,
 )
-from volintervals.distributions import continuity_corrected_sample
+from volintervals.distributions import _expm1, continuity_corrected_sample
 
 
 def make_seq(intervals, q=1.0):
@@ -188,6 +188,20 @@ SIZES = [(1, 1), (3, 7), (50, 17), (2999, 3000), (10_000, 40), (10_000, 10_000),
          (10_001, 40), (9_000, 11_000), (12_000, 10_500)]
 
 
+def _geometric_and_exponential(n):
+    rng = np.random.default_rng(n)
+    return rng.geometric(0.1, size=n), rng.exponential(1.0, size=n)
+
+
+# integer intervals and an exponential sample per size, and a sample with 6 values
+# repeated 500 times: its mean is 4, so the intervals of 2 scale to exactly 0.5,
+# where expm1 changes branch
+_TIES = np.repeat([1, 2, 3, 5, 6, 7], 500)
+POISSON_SAMPLES = {str(n): _geometric_and_exponential(n)
+                   for n in (1, 2, 17, 3000, 10_000, 10_001, 12_000)}
+POISSON_SAMPLES["ties"] = (_TIES, _TIES / 4.0)
+
+
 class TestScipyOracle:
     """The numpy statistics equal scipy.stats' to the last bit."""
 
@@ -223,21 +237,71 @@ class TestScipyOracle:
             for j in range(i + 1, 3):
                 assert d[i, j] == d[j, i] == stats.ks_2samp(corrected[i], corrected[j]).statistic
 
-    @pytest.mark.parametrize("n", [1, 2, 17, 3000, 10_000, 10_001, 12_000])
-    def test_poisson_deviation(self, n):
-        rng = np.random.default_rng(n)
-        seq, x = make_seq(rng.geometric(0.1, size=n)), rng.exponential(1.0, size=n)
+    @pytest.mark.parametrize("intervals, x", POISSON_SAMPLES.values(), ids=list(POISSON_SAMPLES))
+    def test_poisson_deviation(self, intervals, x):
+        seq = make_seq(intervals)
         assert poisson_deviation(seq) == stats.kstest(seq.scaled(), stats.expon.cdf).statistic
         assert poisson_deviation(x) == stats.kstest(x, stats.expon.cdf).statistic
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = ("import sys, volintervals.cli; volintervals.cli.build_parser(); "
-            "print('scipy.stats' in sys.modules)")
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)  # -0.0 and nan payloads count
+
+
+# expm1's two branches meet at +-0.5; then zeros, subnormals, underflow and overflow
+EXPM1_EDGES = [
+    *(v for b in (0.5, -0.5) for v in (np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf))),
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+    -745.2, -1e300, -np.inf, np.inf, np.nan, 709.78, 710.0, 1e300,
+]
+
+
+class TestExpm1:
+    """The cephes port equals scipy.special.expm1 to the last bit."""
+
+    def test_edge_values(self):
+        x = np.array(EXPM1_EDGES)
+        assert np.array_equal(_bits(_expm1(x)), _bits(special.expm1(x)))
+
+    def test_sweep_of_the_exponential_cdf_domain(self):
+        x = -50.0 * np.random.default_rng(5).random(10**6)  # (-50, 0]
+        assert np.array_equal(_bits(_expm1(x)), _bits(special.expm1(x)))
+
+    @given(st.floats())
+    def test_any_float(self, v):
+        x = np.array([v])
+        assert _bits(_expm1(x)) == _bits(special.expm1(x))
+
+
+def _python(code, *argv, cwd=None):
+    """stdout of `python -c code argv...` in a fresh interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=str(Path(volintervals.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, volintervals.cli; volintervals.cli.build_parser(); "
+            "print('scipy' in sys.modules)")
+    assert _python(code).strip() == "False"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # synth, analyze with a split, and pdf, whose stdout holds poisson_deviation
+    commands = [["synth", "--kind", "correlated", "--length", "4096", "--out", "s.csv"],
+                ["analyze", "s.csv", "--q", "1", "--q", "2", "--ensemble", "5",
+                 "--split-date", "1989-12-29", "--out", "o"],
+                ["pdf", "s.csv", "--q", "1", "--q", "2", "--out", "p"]]
+    trees = []
+    for block in ("sys.modules['scipy'] = None; ", ""):  # with the block any scipy import fails
+        code = f"import sys; {block}from volintervals.cli import main; sys.exit(main(sys.argv[1:]))"
+        cwd = tmp_path / ("blocked" if block else "free")
+        cwd.mkdir()
+        stdout = [_python(code, *argv, cwd=cwd) for argv in commands]
+        files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+        trees.append((stdout, files))
+    assert trees[0] == trees[1]
+    assert "poisson_deviation=" in trees[0][0][2] and "o/s/pre/summary.json" in trees[0][1]
 
 
 class TestPoissonDeviation:

@@ -963,6 +963,55 @@ class TestConfigFile:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "o2", "s.csv"]
 
 
+# a blank value names no file, so before it was rejected the run read "." or wrote into
+# the working directory, or ran unsplit; each route must exit 2 and write nothing there
+def _only_the_input_in_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    return synth_csv(tmp_path / "a.csv", length=3000, kind="iid", seed=6).name
+
+
+class TestBlankValues:
+    @pytest.mark.parametrize("key", ["input", "out", "split_date", "session_open"])
+    def test_config_line(self, tmp_path, monkeypatch, capsys, key):
+        csv = _only_the_input_in_cwd(tmp_path, monkeypatch)
+        config = tmp_path / "c.cfg"
+        config.write_text(f"input = {csv}\nq = 1\nensemble = 2\n{key} =\n")
+        assert main(["analyze", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:4: empty value for {key}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "c.cfg"]
+
+    @pytest.mark.parametrize("argv, err", [
+        (["analyze", "a.csv", "--out", ""], "out_dir must not be blank, got ''"),
+        (["analyze", "a.csv", "--out", " "], "out_dir must not be blank, got ' '"),
+        (["analyze", "a.csv", "--split-date", ""], f"split_date: bad timestamp '': {TIMESTAMP_RULE}"),
+        (["analyze", ""], "inputs must not be blank, got ''"),
+        (["analyze", "a.csv", ""], "inputs must not be blank, got ''"),
+        (["intervals", "a.csv", "--out", ""], "out_dir must not be blank, got ''"),
+        (["split", "a.csv", "--split-date", "1984-06-01", "--out", ""], "--out must not be blank, got ''"),
+        (["synth", "--out", ""], "--out must not be blank, got ''"),
+    ], ids=["out", "out_space", "split_date", "input", "second_input", "stage_out", "split_out",
+            "synth_out"])
+    def test_typed_flag(self, tmp_path, monkeypatch, capsys, argv, err):
+        _only_the_input_in_cwd(tmp_path, monkeypatch)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    @pytest.mark.parametrize("override, err", [
+        ({"inputs": [""]}, "inputs must not be blank, got ''"),
+        ({"inputs": ["a.csv", "\t"]}, "inputs must not be blank, got '\\t'"),
+        ({"out_dir": ""}, "out_dir must not be blank, got ''"),
+        ({"split_date": ""}, f"split_date: bad timestamp '': {TIMESTAMP_RULE}"),
+    ], ids=["input", "second_input", "out_dir", "split_date"])
+    def test_analysis_config(self, tmp_path, monkeypatch, override, err):
+        _only_the_input_in_cwd(tmp_path, monkeypatch)
+        with pytest.raises(ConfigError) as exc:
+            run_pipeline(AnalysisConfig(**{"inputs": ["a.csv"], "thresholds": [1.0], "ensemble": 2,
+                                           **override}))
+        assert str(exc.value) == err
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+
 class TestCli:
     def test_intervals_subcommand(self, tmp_path, capsys):
         csv = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=5)
