@@ -15,7 +15,7 @@ from .distributions import (
     poisson_deviation,
     scale_pdf,
 )
-from .intervals import IntervalSequence, InsufficientEventsError, extract_intervals
+from .intervals import IntervalSequence, extract_intervals
 from .memory import (
     ConditionalMeanCurve,
     conditional_mean_curve,
@@ -24,7 +24,6 @@ from .memory import (
 )
 from .pipeline import AnalysisConfig, ingest_csv, run_pipeline, split_by_date, write_csv
 from .series import (
-    DegenerateSeriesError,
     IntradayPattern,
     PriceSeries,
     ReturnSeries,

@@ -18,7 +18,6 @@ import numpy as np
 from .pipeline import (
     AnalysisConfig,
     ConfigError,
-    IngestError,
     ingest_csv,
     load_config,
     parse_time,
@@ -177,7 +176,7 @@ def main(argv=None) -> int:
     handlers = {"analyze": _cmd_analyze, "synth": _cmd_synth, "split": _cmd_split}
     try:
         return handlers.get(args.command, _cmd_stage)(args)
-    except (ConfigError, IngestError, ValueError, OSError) as exc:  # OSError: a path we cannot write or read
+    except (ValueError, OSError) as exc:  # OSError: a path we cannot write or read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

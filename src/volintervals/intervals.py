@@ -15,18 +15,8 @@ from .series import VolatilitySeries
 
 __all__ = [
     "IntervalSequence",
-    "InsufficientEventsError",
     "extract_intervals",
 ]
-
-
-class InsufficientEventsError(ValueError):
-    """Fewer than 2 threshold exceedances; carries the event count."""
-
-    def __init__(self, q: float, n_events: int):
-        super().__init__(f"threshold q={q:g}: found {n_events} event(s), need at least 2")
-        self.q = q
-        self.n_events = n_events
 
 
 @dataclass(frozen=True)
@@ -55,11 +45,11 @@ class IntervalSequence:
         return self.intervals / self.mean_interval
 
 
-def extract_intervals(vol, q: float, session_ids=None, drop_session_gaps: bool = False) -> IntervalSequence:
+def extract_intervals(vol, q: float, session_ids=None) -> IntervalSequence:
     """Intervals between successive samples with g(t) > q (strict).
 
-    With drop_session_gaps, intervals whose bounding events lie in
-    different sessions are discarded (session_ids required).
+    Given session_ids, intervals whose bounding events lie in different
+    sessions are discarded.
     """
     if q <= 0:
         raise ValueError("threshold q must be positive")
@@ -68,11 +58,9 @@ def extract_intervals(vol, q: float, session_ids=None, drop_session_gaps: bool =
         raise ValueError("volatility series needs at least 2 samples")
     events = np.flatnonzero(g > q)
     if events.size < 2:
-        raise InsufficientEventsError(q, int(events.size))
+        raise ValueError(f"threshold q={q:g}: found {events.size} event(s), need at least 2")
     intervals = np.diff(events)
-    if drop_session_gaps:
-        if session_ids is None:
-            raise ValueError("drop_session_gaps requires session_ids")
+    if session_ids is not None:
         sid = np.asarray(session_ids)
         keep = sid[events[1:]] == sid[events[:-1]]
         if not np.any(keep):

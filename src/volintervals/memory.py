@@ -18,16 +18,11 @@ from .intervals import IntervalSequence
 
 __all__ = [
     "ConditionalMeanCurve",
-    "InsufficientPairsError",
     "conditional_blocks",
     "conditional_pdfs",
     "conditional_mean_curve",
     "shuffle_intervals",
 ]
-
-
-class InsufficientPairsError(ValueError):
-    """Too few successor pairs to form the requested subsets."""
 
 
 @dataclass(frozen=True)
@@ -47,9 +42,7 @@ def conditional_blocks(seq: IntervalSequence, n_subsets: int = 8):
     """
     iv = seq.intervals
     if iv.size < 2 * n_subsets:
-        raise InsufficientPairsError(
-            f"need at least {2 * n_subsets} intervals for {n_subsets} subsets, have {iv.size}"
-        )
+        raise ValueError(f"need at least {2 * n_subsets} intervals for {n_subsets} subsets, have {iv.size}")
     cond, succ = iv[:-1], iv[1:]
     order = np.argsort(cond, kind="stable")
     idx_blocks = np.array_split(order, n_subsets)

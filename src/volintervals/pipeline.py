@@ -75,7 +75,6 @@ class AnalysisConfig:
     drop_session_gaps: bool = False
     out_dir: str = "out"
     max_workers: int = 4
-    calendar: SessionCalendar | None = field(init=False, default=None)  # from session_open/close
 
     def __post_init__(self):
         if not self.inputs:
@@ -105,13 +104,13 @@ class AnalysisConfig:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.split_date is not None:
             parse_time(self.split_date, "split_date")
-        if bool(self.session_open) != bool(self.session_close):
+        if (self.session_open is None) != (self.session_close is None):
             raise ConfigError("session_open and session_close must be given together")
-        if self.drop_session_gaps and not self.session_open:
+        if self.drop_session_gaps and self.session_open is None:
             raise ConfigError("drop_session_gaps requires session_open and session_close")
         try:
-            if self.session_open:
-                self.calendar = SessionCalendar(self.session_open, self.session_close)
+            if self.session_open is not None:
+                SessionCalendar(self.session_open, self.session_close)
         except ValueError as exc:  # a bound that is not HH:MM, or open not before close
             raise ConfigError(str(exc)) from None
 
@@ -308,9 +307,12 @@ def ingest_csv(path) -> PriceSeries:
     same result and the same errors.
     """
     path = Path(path)
-    if not path.is_file():
+    if not path.is_file():  # also keeps a FIFO from blocking the readers
         raise IngestError(f"{path}: no such file")
-    ts, p, lines = _read_plain(path) or _read_rows(path)
+    try:
+        ts, p, lines = _read_plain(path) or _read_rows(path)
+    except OSError as exc:  # e.g. no read permission
+        raise IngestError(f"{path}: cannot read: {exc.strerror or exc}") from None
     order = np.argsort(ts, kind="stable")
     if not np.array_equal(order, np.arange(ts.size)):
         warnings.warn(f"{path}: timestamps out of order; sorting")
@@ -337,9 +339,9 @@ def write_csv(series: PriceSeries, path) -> None:
             fh.write(f"{np.datetime_as_string(ts, unit='s')},{float(p)!r}\n")
 
 
-def split_by_date(series: PriceSeries, cut) -> tuple[PriceSeries, PriceSeries]:
+def split_by_date(series: PriceSeries, cut: str) -> tuple[PriceSeries, PriceSeries]:
     """Split into (strictly before cut, from cut on); both parts non-empty."""
-    cut = parse_time(cut, "split_date") if isinstance(cut, str) else np.datetime64(cut)
+    cut = parse_time(cut, "split_date")
     ts = series.timestamps
     n_before = int(np.searchsorted(ts, cut, side="left"))
     if n_before < 2 or ts.size - n_before < 2:
@@ -486,13 +488,15 @@ def _envelope(rows):
 
 def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
     """Normalized volatility, intraday-detrended when cfg names a session, and
-    the session id of every return (None without one), timed by its first price."""
+    the session id of every return, timed by its first price, when cfg drops
+    session gaps (else None)."""
     vol = normalize_volatility(log_returns(prices))
-    if cfg.calendar is None:
+    if cfg.session_open is None:
         return vol, None
-    slots, session_ids = session_slots(prices.timestamps[:-1], cfg.calendar, prices.sampling_interval)
+    calendar = SessionCalendar(cfg.session_open, cfg.session_close)
+    slots, session_ids = session_slots(prices.timestamps[:-1], calendar, prices.sampling_interval)
     pattern = build_intraday_pattern(vol, slots, session_ids)
-    return intraday_detrend(vol, pattern, slots), session_ids
+    return intraday_detrend(vol, pattern, slots), session_ids if cfg.drop_session_gaps else None
 
 
 def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
@@ -507,8 +511,7 @@ def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
     vol, session_ids = _volatility(ingest_csv(cfg.inputs[0]), cfg)
     counts = []
     for q in cfg.thresholds:
-        seq = extract_intervals(vol, q, session_ids=session_ids,
-                                drop_session_gaps=cfg.drop_session_gaps)
+        seq = extract_intervals(vol, q, session_ids)
         for t in STAGES[name](seq, cfg):
             _write_tsv(out / f"{t.stem}_q{q:g}{t.suffix}.tsv", t.header, t.columns)
         counts.append({"q": q, "count": len(seq), "mean_interval": seq.mean_interval})
@@ -530,15 +533,14 @@ def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
     for q in cfg.thresholds:
         stage = "extract"
         try:
-            seq = extract_intervals(vol, q, session_ids=session_ids,
-                                    drop_session_gaps=cfg.drop_session_gaps)
+            seq = extract_intervals(vol, q, session_ids)
             seqs[q] = seq
             for stage, tables in STAGES.items():
                 for t in tables(seq, cfg):
                     _write_tsv(outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv", t.header, t.columns)
             outcomes.append({"count": len(seq), "mean_interval": seq.mean_interval,
                              "poisson_deviation": poisson_deviation(seq)})
-        except ValueError as exc:  # InsufficientEvents/PairsError included
+        except ValueError as exc:  # e.g. too few events, or too few intervals for the subsets
             outcomes.append((stage, exc))
 
     if len(seqs) >= 2:  # in ascending q, as cfg.thresholds are
@@ -596,11 +598,10 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
                                               "stage": "volatility", "error": str(exc)})
                     queued.append((summary, outdir, None, []))
                     continue
-                if session_ids is not None:
+                if cfg.session_open is not None:
                     summary["detrended"] = True
                 try:  # as q rises intervals only thin out, so too few for 'conditional' here fail every q
-                    n_low = len(extract_intervals(vol, cfg.thresholds[0], session_ids=session_ids,
-                                                  drop_session_gaps=cfg.drop_session_gaps))
+                    n_low = len(extract_intervals(vol, cfg.thresholds[0], session_ids))
                 except ValueError:  # no interval: under two events, or none in one session
                     n_low = 0
                 n_seeds = cfg.ensemble if n_low >= 2 * cfg.n_subsets else 0

@@ -19,9 +19,6 @@ __all__ = [
     "VolatilitySeries",
     "IntradayPattern",
     "SessionCalendar",
-    "DegenerateSeriesError",
-    "DetrendError",
-    "InsufficientSessionsError",
     "log_returns",
     "normalize_volatility",
     "build_intraday_pattern",
@@ -29,18 +26,6 @@ __all__ = [
     "session_slots",
     "gap_report",
 ]
-
-
-class DegenerateSeriesError(ValueError):
-    """Raised when a return series has zero sample standard deviation."""
-
-
-class DetrendError(ValueError):
-    """Raised when detrending hits an empty or non-positive pattern slot."""
-
-
-class InsufficientSessionsError(ValueError):
-    """Raised when an intraday pattern is requested from fewer than 2 sessions."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +138,7 @@ def normalize_volatility(returns: ReturnSeries) -> VolatilitySeries:
     g = returns.values
     var = np.mean(g * g) - np.mean(g) ** 2
     if var <= 0 or not np.isfinite(var):
-        raise DegenerateSeriesError("return series has zero standard deviation")
+        raise ValueError("return series has zero standard deviation")
     return VolatilitySeries(values=np.abs(g) / np.sqrt(var))
 
 
@@ -181,7 +166,7 @@ def build_intraday_pattern(vol: VolatilitySeries, slots, session_ids) -> Intrada
     slots = np.asarray(slots, dtype=np.int64)
     session_ids = np.asarray(session_ids)
     if np.unique(session_ids).size < 2:
-        raise InsufficientSessionsError("intraday pattern needs at least 2 sessions")
+        raise ValueError("intraday pattern needs at least 2 sessions")
     n_slots = int(slots.max()) + 1
     counts = np.bincount(slots, minlength=n_slots)
     sums = np.bincount(slots, weights=vol.values, minlength=n_slots)
@@ -194,12 +179,12 @@ def intraday_detrend(vol: VolatilitySeries, pattern: IntradayPattern, slots) -> 
     """Divide each observation by its slot's cross-session mean."""
     slots = np.asarray(slots, dtype=np.int64)
     if slots.max() >= pattern.slot_means.size:
-        raise DetrendError(f"slot {int(slots.max())} not covered by pattern")
+        raise ValueError(f"slot {int(slots.max())} not covered by pattern")
     means = pattern.slot_means[slots]
     bad = ~(means > 0)  # catches NaN (empty slot) and non-positive means
     if np.any(bad):
         s = int(slots[np.flatnonzero(bad)[0]])
-        raise DetrendError(f"pattern slot {s} is empty or non-positive")
+        raise ValueError(f"pattern slot {s} is empty or non-positive")
     return VolatilitySeries(values=vol.values / means)
 
 

@@ -1,8 +1,15 @@
-"""Each argument guard of the public functions and constructors raises its own type and message."""
+"""Each argument guard of the public functions and constructors raises its own type and
+message, and each public name exists where it is listed."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volintervals
 from volintervals import (
     IntervalSequence,
     IntradayPattern,
@@ -14,7 +21,6 @@ from volintervals import (
     pdf_estimate,
     scale_pdf,
 )
-from volintervals.series import DetrendError
 
 DAY = np.timedelta64(1, "D")
 DAYS = np.arange("2000-01-01", "2000-01-04", dtype="datetime64[D]").astype("datetime64[s]")
@@ -37,8 +43,6 @@ GUARDS = {
                   "threshold q must be positive"),
     "extract_one_sample": (lambda: extract_intervals([3.0], 1.0), ValueError,
                            "volatility series needs at least 2 samples"),
-    "extract_no_sessions": (lambda: extract_intervals([3.0, 3.0], 1.0, drop_session_gaps=True),
-                            ValueError, "drop_session_gaps requires session_ids"),
     "prices_one": (lambda: PriceSeries("p", DAYS[:1], [1.0], DAY), ValueError,
                    "price series needs at least 2 observations"),
     "prices_shape": (lambda: PriceSeries("p", DAYS, [1.0, 2.0], DAY), ValueError,
@@ -47,7 +51,7 @@ GUARDS = {
                             "volatility values must be non-negative"),
     "detrend_slot": (lambda: intraday_detrend(VolatilitySeries([1.0, 1.0]),
                                               IntradayPattern(np.ones(2), np.ones(2, int)), [0, 2]),
-                     DetrendError, "slot 2 not covered by pattern"),
+                     ValueError, "slot 2 not covered by pattern"),
 }
 
 
@@ -56,3 +60,21 @@ def test_guard_raises_its_type_and_message(call, kind, message):
     with pytest.raises(kind) as exc:
         call()
     assert type(exc.value) is kind and str(exc.value) == message
+
+
+MODULES = [m.name for m in pkgutil.iter_modules(volintervals.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_a_modules_all_exists(name):
+    module = importlib.import_module(f"volintervals.{name}")
+    assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
+
+
+def test_the_package_imports_only_names_its_modules_list():
+    tree = ast.parse(Path(volintervals.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert {node.module for node in imports} == set(MODULES) - {"cli"}
+    for node in imports:
+        listed = importlib.import_module(f"volintervals.{node.module}").__all__
+        assert [a.name for a in node.names if a.name not in listed] == [], node.module

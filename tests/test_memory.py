@@ -11,7 +11,7 @@ from volintervals import (
     scale_pdf,
     shuffle_intervals,
 )
-from volintervals.memory import InsufficientPairsError, conditional_blocks
+from volintervals.memory import conditional_blocks
 
 
 def make_seq(intervals, q=1.0):
@@ -75,7 +75,7 @@ def test_tie_break_is_stable_by_time_index():
 
 
 def test_insufficient_pairs():
-    with pytest.raises(InsufficientPairsError):
+    with pytest.raises(ValueError, match="need at least 16 intervals for 8 subsets, have 3"):
         conditional_blocks(make_seq([1, 2, 3]), n_subsets=8)
 
 

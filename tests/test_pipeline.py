@@ -19,13 +19,19 @@ from hypothesis import strategies as st
 from volintervals import (
     AnalysisConfig,
     PriceSeries,
+    SessionCalendar,
     VolatilitySeries,
+    build_intraday_pattern,
     cluster_survival,
     clusters,
     extract_intervals,
     ingest_csv,
+    intraday_detrend,
+    log_returns,
     median_split,
+    normalize_volatility,
     run_pipeline,
+    session_slots,
     shuffle_volatility,
     split_by_date,
     write_csv,
@@ -450,8 +456,7 @@ class TestSplitByDate:
 
     def test_lengths(self, tmp_path):
         s = ingest_csv(synth_csv(tmp_path / "s.csv", length=100, kind="iid"))
-        cut = s.timestamps[40]
-        pre, post = split_by_date(s, cut)
+        pre, post = split_by_date(s, str(s.timestamps[40]))
         assert len(pre) == 40
         assert len(post) == 60
         assert np.array_equal(np.concatenate([pre.prices, post.prices]), s.prices)
@@ -589,6 +594,46 @@ class TestRunPipeline:
         summary = json.loads((out / "inst" / "summary.json").read_text())
         assert list(summary["per_q"]) == ["1"]
         assert json.loads((out / "inst" / "collapse_matrix.json").read_text())["q"] == ["1", "3.5"]
+
+    def test_an_unreadable_input_is_recorded_and_the_others_run(self, tmp_path, monkeypatch):
+        a = synth_csv(tmp_path / "a.csv", length=3000, kind="iid", seed=6)
+        b = synth_csv(tmp_path / "b.csv", length=3000, kind="iid", seed=7)
+
+        def open_but_a(path, *args, **kwargs):  # as `chmod 000 a.csv` does for a user other than root
+            if Path(path) == a:
+                raise PermissionError(13, "Permission denied", str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(volintervals.pipeline, "open", open_but_a, raising=False)
+        out = tmp_path / "out"
+        assert main(["analyze", str(a), str(b), "--q", "1", "--ensemble", "5", "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["errors"] == [{"instrument": str(a), "q": None, "stage": "ingest",
+                                     "error": f"{a}: cannot read: Permission denied"}]
+        assert (out / "b" / "summary.json").exists()
+
+    def test_a_session_without_dropping_gaps_detrends_and_keeps_every_interval(self, tmp_path):
+        csv = tmp_path / "intraday.csv"
+        write_intraday_csv(csv)
+        config = tmp_path / "session.cfg"
+        config.write_text(f"input = {csv}\nq = 1,2\nensemble = 2\n"
+                          "session_open = 09:00\nsession_close = 15:00\n")
+        assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "kept")]) == 0
+        config.write_text(config.read_text() + "drop_session_gaps = true\n")
+        assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "dropped")]) == 0
+        kept, dropped = (json.loads((tmp_path / run / "intraday" / "summary.json").read_text())
+                         for run in ("kept", "dropped"))
+        assert kept["detrended"] is True
+        prices = ingest_csv(csv)
+        vol = normalize_volatility(log_returns(prices))
+        slots, sessions = session_slots(prices.timestamps[:-1], SessionCalendar("09:00", "15:00"),
+                                        prices.sampling_interval)
+        detrended = intraday_detrend(vol, build_intraday_pattern(vol, slots, sessions), slots)
+        for q in ("1", "2"):
+            written = np.loadtxt(tmp_path / "kept" / "intraday" / f"q{q}" / "intervals.tsv",
+                                 skiprows=1, usecols=1, dtype=np.int64)
+            assert np.array_equal(written, extract_intervals(detrended, float(q)).intervals), q
+        assert kept["per_q"]["1"]["count"] > dropped["per_q"]["1"]["count"]
 
     def test_errors_attributed_and_pipeline_continues(self, tmp_path):
         csv = synth_csv(tmp_path / "inst.csv", length=2000, kind="iid", seed=4)
@@ -1002,7 +1047,14 @@ class TestBlankValues:
         ({"inputs": ["a.csv", "\t"]}, "inputs must not be blank, got '\\t'"),
         ({"out_dir": ""}, "out_dir must not be blank, got ''"),
         ({"split_date": ""}, f"split_date: bad timestamp '': {TIMESTAMP_RULE}"),
-    ], ids=["input", "second_input", "out_dir", "split_date"])
+        # a blank session bound is a bound that is not HH:MM, not a session left out
+        ({"session_open": "", "session_close": ""}, "session_open must be HH:MM, got ''"),
+        ({"session_open": "09:00", "session_close": ""}, "session_close must be HH:MM, got ''"),
+        ({"session_open": "", "session_close": "15:00"}, "session_open must be HH:MM, got ''"),
+        ({"session_open": "", "session_close": "", "drop_session_gaps": True},
+         "session_open must be HH:MM, got ''"),
+    ], ids=["input", "second_input", "out_dir", "split_date", "session_bounds", "session_close",
+            "session_open", "session_bounds_dropping_gaps"])
     def test_analysis_config(self, tmp_path, monkeypatch, override, err):
         _only_the_input_in_cwd(tmp_path, monkeypatch)
         with pytest.raises(ConfigError) as exc:
