@@ -49,18 +49,12 @@ class ScaledPDF:
     y: np.ndarray  # P_q(tau) * <tau>
 
 
-def _sample(seq) -> np.ndarray:
-    if isinstance(seq, IntervalSequence):
-        return seq.intervals.astype(float)
-    return np.asarray(seq, dtype=float)
-
-
 def pdf_estimate(seq, mode: str = "logarithmic", n_bins: int = 30) -> BinnedPDF:
     """Histogram density of an interval sequence, integral normalized to 1.
 
     Logarithmic mode uses log-spaced edges from min to max interval.
     """
-    x = _sample(seq)
+    x = np.asarray(seq.intervals if isinstance(seq, IntervalSequence) else seq, dtype=float)
     if x.size == 0:
         raise ValueError("cannot estimate a PDF from an empty sequence")
     if mode not in ("linear", "logarithmic"):
@@ -68,15 +62,15 @@ def pdf_estimate(seq, mode: str = "logarithmic", n_bins: int = 30) -> BinnedPDF:
     if n_bins < 2:
         raise ValueError("need at least 2 bins")
     lo, hi = float(x.min()), float(x.max())
-    if mode == "logarithmic":
-        if lo == hi:
+    if lo == hi:
+        if mode == "logarithmic":
             warnings.warn("all intervals identical; falling back to a single linear bin")
-            bin_edges = np.array([lo - 0.5, lo + 0.5])
             mode = "linear"
-        else:
-            bin_edges = np.geomspace(lo, hi, n_bins + 1)
+        bin_edges = np.array([lo - 0.5, lo + 0.5])
+    elif mode == "logarithmic":
+        bin_edges = np.geomspace(lo, hi, n_bins + 1)
     else:
-        bin_edges = np.linspace(lo, hi, n_bins + 1) if lo < hi else np.array([lo - 0.5, lo + 0.5])
+        bin_edges = np.linspace(lo, hi, n_bins + 1)
     counts, bin_edges = np.histogram(x, bins=bin_edges)
     widths = np.diff(bin_edges)
     densities = counts / (x.size * widths)
@@ -90,12 +84,6 @@ def scale_pdf(pdf: BinnedPDF, mean_interval: float) -> ScaledPDF:
     return ScaledPDF(x=pdf.bin_centers() / mean_interval, y=pdf.densities * mean_interval)
 
 
-def _scaled_sample(s) -> np.ndarray:
-    if isinstance(s, IntervalSequence):
-        return s.scaled()
-    return np.asarray(s, dtype=float)
-
-
 def continuity_corrected_sample(seq, rng) -> np.ndarray:
     """Scaled intervals with the integer lattice smoothed out.
 
@@ -107,12 +95,6 @@ def continuity_corrected_sample(seq, rng) -> np.ndarray:
     """
     x = seq.intervals - rng.random(len(seq))
     return x / x.mean()
-
-
-def _sorted_sample(x: np.ndarray, what: str) -> np.ndarray:
-    if x.size == 0:
-        raise ValueError(f"{what} is empty")
-    return np.sort(x)
 
 
 # A two-sample KS distance is a multiple of 1/lcm(n1, n2). When neither
@@ -136,26 +118,21 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def collapse_distance(sequences, jitter_seed: int | None = None) -> np.ndarray:
-    """Pairwise two-sample KS distances between scaled interval samples.
+    """Pairwise two-sample KS distances between scaled interval sequences.
 
-    Accepts IntervalSequence objects or pre-scaled arrays; symmetric, zero
-    diagonal. Each sample is sorted once. With jitter_seed set, samples are
-    continuity corrected first (deterministic per seed); use this when
-    comparing sequences whose means, and hence scaled integer lattices,
-    differ. The correction jitters integer intervals, so it needs
-    IntervalSequence inputs.
+    Symmetric, zero diagonal. Each sample is sorted once. With jitter_seed
+    set, samples are continuity corrected first (deterministic per seed);
+    use this when comparing sequences whose means, and hence scaled integer
+    lattices, differ.
     """
     if len(sequences) < 2:
         raise ValueError("need at least 2 sequences")
-    if jitter_seed is not None:
-        if not all(isinstance(s, IntervalSequence) for s in sequences):
-            raise ValueError("jitter_seed needs IntervalSequence inputs: the continuity "
-                             "correction jitters integer intervals, not pre-scaled arrays")
+    if jitter_seed is None:
+        scaled = [s.scaled() for s in sequences]
+    else:
         rng = np.random.default_rng(jitter_seed)
         scaled = [continuity_corrected_sample(s, rng) for s in sequences]
-    else:
-        scaled = [_scaled_sample(s) for s in sequences]
-    samples = [_sorted_sample(x, f"sample {i}") for i, x in enumerate(scaled)]
+    samples = [np.sort(x) for x in scaled]
     n = len(samples)
     d = np.zeros((n, n))
     for i in range(n):
@@ -171,53 +148,35 @@ _EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
             2.2726554820815502876593e-1, 2.0000000000000000009103e0)
 
 
-def _polevl(x: np.ndarray, coef) -> np.ndarray:
-    """cephes polevl: the polynomial by Horner's rule, highest power first."""
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
+def _exponential_cdf(x: np.ndarray) -> np.ndarray:
+    """1 - exp(-x), elementwise for x >= 0, as cephes computes -expm1(-x).
 
-
-def _exp_minus_1(v: float) -> float:
-    try:
-        return math.exp(v) - 1.0
-    except OverflowError:  # the C library's exp returned inf
-        return math.inf
-
-
-def _expm1(x: np.ndarray) -> np.ndarray:
-    """exp(x) - 1, elementwise, as cephes computes it.
-
-    A port of expm1 from Stephen L. Moshier's Cephes Math Library
-    (unity.c), in cephes's order of operations, so that it matches the
-    cephes function to the last bit; the tests check this. Outside
-    [-0.5, 0.5] it is the C library's exp minus 1: math.exp calls that
-    exp, while np.exp may use its own SIMD code, which differs in the last
-    bit on some hosts.
+    A port of Moshier's Cephes expm1 (unity.c) that equals
+    -scipy.special.expm1(-x) to the last bit: above 0.5 through math.exp, the
+    C library's exp (np.exp's SIMD code differs in the last bit on some
+    hosts); up to 0.5 by cephes's rational function, where np.polyval takes
+    polevl's Horner steps in the same order.
     """
-    x = np.asarray(x, dtype=float)
-    out = x.copy()  # a nan falls in neither branch and is returned as given
-    big = (x < -0.5) | (x > 0.5)
-    out[big] = np.fromiter(map(_exp_minus_1, x[big].tolist()), float)
-    small = np.abs(x) <= 0.5
-    xs = x[small]
+    out = np.empty_like(x)
+    big = x > 0.5
+    out[big] = 1.0 - np.fromiter(map(math.exp, (-x[big]).tolist()), float)
+    xs = -x[~big]
     xx = xs * xs
-    r = xs * _polevl(xx, _EXPM1_P)
-    r = r / (_polevl(xx, _EXPM1_Q) - r)
-    out[small] = r + r
+    r = xs * np.polyval(_EXPM1_P, xx)
+    r = r / (np.polyval(_EXPM1_Q, xx) - r)
+    out[~big] = -(r + r)
     return out
 
 
-def poisson_deviation(seq) -> float:
+def poisson_deviation(seq: IntervalSequence) -> float:
     """KS distance of the scaled intervals from the unit-mean exponential."""
-    x = _sorted_sample(_scaled_sample(seq), "sample")
+    x = np.sort(seq.scaled())
     n = x.size
     # F_n - F is largest at the last of a run of equal values and F - F_n at the
     # first, so the exponential CDF is needed once per distinct value; integer
     # intervals have tens to hundreds of them
     first = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    cdf = -_expm1(-np.maximum(x[first], 0.0))
+    cdf = _exponential_cdf(x[first])
     d_plus = (np.r_[first[1:], n] / n - cdf).max()
     d_minus = (cdf - first / n).max()
     return float(max(d_plus, d_minus))

@@ -79,9 +79,18 @@ class AnalysisConfig:
     def __post_init__(self):
         if not self.inputs:
             raise ConfigError("no input files configured")
-        for p in self.inputs:  # a blank name would be read as ".", and out as the working directory
-            if not str(p).strip():
+        first: dict = {}  # file stem -> the input that has it; out/{stem}/ holds its outputs
+        for p in self.inputs:
+            if not str(p).strip():  # a blank name would be read as "."
                 raise ConfigError(f"inputs must not be blank, got {p!r}")
+            # out/{stem} would be out itself, its parent, or the run's report
+            if (stem := Path(p).stem) in ("", ".", "..", "report.json"):
+                raise ConfigError(f"input {p} has the file stem {stem!r}, which cannot name its "
+                                  "output directory")
+            if stem in first:
+                raise ConfigError(f"inputs {first[stem]} and {p} share the file stem {stem!r}, "
+                                  "which names their output directory")
+            first[stem] = p
         if not str(self.out_dir).strip():
             raise ConfigError(f"out_dir must not be blank, got {self.out_dir!r}")
         if not self.thresholds or not all(math.isfinite(q) and q > 0 for q in self.thresholds):
@@ -90,12 +99,6 @@ class AnalysisConfig:
         for a, b in zip(self.thresholds, self.thresholds[1:]):  # q{q:g} names each one's outputs
             if f"{a:g}" == f"{b:g}":
                 raise ConfigError(f"thresholds {a} and {b} both print as '{a:g}'")
-        first: dict = {}  # file stem -> the input that has it; out/{stem}/ holds its outputs
-        for p in self.inputs:
-            if (stem := Path(p).stem) in first:
-                raise ConfigError(f"inputs {first[stem]} and {p} share the file stem {stem!r}, "
-                                  "which names their output directory")
-            first[stem] = p
         if self.binning not in ("linear", "logarithmic"):
             raise ConfigError(f"binning must be 'linear' or 'logarithmic', got {self.binning!r}")
         for key, least in (("n_bins", 2), ("n_subsets", 1), ("seed", 0), ("ensemble", 1),

@@ -1324,6 +1324,27 @@ class TestCli:
                                            "which names their output directory\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["arguments", "config"])
+    @pytest.mark.parametrize("name, stem", [(".", ""), ("..csv", "."), ("...csv", ".."),
+                                            ("report.json.csv", "report.json")])
+    def test_input_whose_stem_cannot_name_a_directory_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                              via, name, stem):
+        # out/. is out itself, out/.. its parent, and out/report.json the run's report
+        monkeypatch.chdir(tmp_path)
+        if name != ".":
+            synth_csv(tmp_path / name, length=3000, kind="iid", seed=6)
+        flags = ["--q", "1", "--ensemble", "2", "--out", "out"]
+        if via == "config":
+            (tmp_path / "c.cfg").write_text(f"input = {name}\n")
+            flags += ["--config", "c.cfg"]
+        else:
+            flags.append(name)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["analyze", *flags]) == 2
+        assert capsys.readouterr().err == (f"error: input {name} has the file stem {stem!r}, "
+                                           "which cannot name its output directory\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("command", ["analyze", "pdf"])
     def test_thresholds_with_one_name_exit_2_naming_both(self, tmp_path, capsys, command):
         # q1/, the per_q key and the pdf line of one would stand for both
