@@ -35,7 +35,7 @@ for k in range(1, 11):
     sh = shuf_surv[k - 1, 1] if shuf_surv.shape[0] >= k else 0.0
     print(f"  {k:>2d}   {obs:.5f}     {sh:.5f}     {2.0 ** (1 - k):.5f}")
 
-print(f"\nlongest above-median run: {runs.above_sizes.max()} "
-      f"(shuffled: {shuf_runs.above_sizes.max()})")
+print(f"\nlongest above-median run: {runs['above'].max()} "
+      f"(shuffled: {shuf_runs['above'].max()})")
 print("The shuffled column tracks the geometric law; the real sequence keeps")
 print("an order of magnitude more probability in long runs.")

@@ -33,7 +33,7 @@ clean = intraday_detrend(shaped, fitted, slots)
 
 print("slot   imposed   fitted   slot mean after detrend")
 for s in range(4):
-    print(f"  {s}     {pattern[s]:.2f}      {fitted.slot_means[s]:.3f}"
+    print(f"  {s}     {pattern[s]:.2f}      {fitted[s]:.3f}"
           f"     {clean.values[slots == s].mean():.4f}")
 
 # --- period split -------------------------------------------------------

@@ -6,7 +6,7 @@ statistics, and above/below-median cluster runs, with shuffled
 surrogates and synthetic correlated/i.i.d. oracles for verification.
 """
 
-from .clusters import ClusterRuns, cluster_survival, clusters, median_split, shuffle_volatility
+from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
 from .distributions import (
     BinnedPDF,
     ScaledPDF,
@@ -24,7 +24,6 @@ from .memory import (
 )
 from .pipeline import AnalysisConfig, ingest_csv, run_pipeline, split_by_date, write_csv
 from .series import (
-    IntradayPattern,
     PriceSeries,
     ReturnSeries,
     SessionCalendar,

@@ -8,26 +8,17 @@ exchangeable and the run-length survival geometric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .intervals import IntervalSequence
 from .series import VolatilitySeries
 
 __all__ = [
-    "ClusterRuns",
     "median_split",
     "clusters",
     "cluster_survival",
     "shuffle_volatility",
 ]
-
-
-@dataclass(frozen=True)
-class ClusterRuns:
-    above_sizes: np.ndarray
-    below_sizes: np.ndarray
 
 
 def median_split(seq: IntervalSequence) -> np.ndarray:
@@ -38,8 +29,9 @@ def median_split(seq: IntervalSequence) -> np.ndarray:
     return seq.intervals > np.median(seq.intervals)
 
 
-def clusters(labels) -> ClusterRuns:
-    """Run-length decomposition of an above/below label sequence."""
+def clusters(labels) -> dict[str, np.ndarray]:
+    """Run-length decomposition of an above/below label sequence: the run
+    sizes of each side, keyed "above" and "below"."""
     lab = np.asarray(labels, dtype=bool)
     if lab.size == 0:
         raise ValueError("label sequence must be non-empty")
@@ -48,20 +40,17 @@ def clusters(labels) -> ClusterRuns:
     edges = np.concatenate(([0], starts, [lab.size]))
     sizes = np.diff(edges)
     first = lab[edges[:-1]]
-    return ClusterRuns(above_sizes=sizes[first], below_sizes=sizes[~first])
+    return {"above": sizes[first], "below": sizes[~first]}
 
 
-def cluster_survival(runs: ClusterRuns, side: str = "above") -> np.ndarray:
+def cluster_survival(runs: dict[str, np.ndarray], side: str = "above") -> np.ndarray:
     """Complementary cumulative distribution of cluster sizes.
 
     Returns an array of (k, P(size >= k)) rows for k = 1..max size.
     """
-    if side == "above":
-        sizes = runs.above_sizes
-    elif side == "below":
-        sizes = runs.below_sizes
-    else:
+    if side not in ("above", "below"):
         raise ValueError(f"side must be 'above' or 'below', got {side!r}")
+    sizes = runs[side]
     if sizes.size == 0:
         raise ValueError(f"no {side}-median clusters")
     kmax = int(sizes.max())

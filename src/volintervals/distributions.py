@@ -33,7 +33,6 @@ __all__ = [
 class BinnedPDF:
     bin_edges: np.ndarray
     densities: np.ndarray
-    counts: np.ndarray
     binning_mode: str  # "linear" or "logarithmic"
 
     def bin_centers(self) -> np.ndarray:
@@ -74,7 +73,7 @@ def pdf_estimate(seq, mode: str = "logarithmic", n_bins: int = 30) -> BinnedPDF:
     counts, bin_edges = np.histogram(x, bins=bin_edges)
     widths = np.diff(bin_edges)
     densities = counts / (x.size * widths)
-    return BinnedPDF(bin_edges=bin_edges, densities=densities, counts=counts, binning_mode=mode)
+    return BinnedPDF(bin_edges=bin_edges, densities=densities, binning_mode=mode)
 
 
 def scale_pdf(pdf: BinnedPDF, mean_interval: float) -> ScaledPDF:

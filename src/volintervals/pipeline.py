@@ -335,11 +335,18 @@ def ingest_csv(path) -> PriceSeries:
 
 
 def write_csv(series: PriceSeries, path) -> None:
-    """Emit a series in the ingestion format (round-trips bit-exactly)."""
+    """Emit a series in the ingestion format (round-trips bit-exactly); a
+    ValueError, and no file, if a timestamp is not a whole second in years 1-9999."""
+    ts = series.timestamps
+    secs = ts.astype("datetime64[s]", copy=False)  # NaT fails every comparison below
+    ok = (secs == ts) & (secs >= np.datetime64("0001")) & (secs < np.datetime64("10000"))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"timestamp at index {i} is {ts[i]}: need a whole second in years 1-9999")
     with _atomic(path) as fh:
         fh.write("timestamp,price\n")
-        for ts, p in zip(series.timestamps, series.prices):
-            fh.write(f"{np.datetime_as_string(ts, unit='s')},{float(p)!r}\n")
+        for t, p in zip(ts, series.prices):
+            fh.write(f"{np.datetime_as_string(t, unit='s')},{float(p)!r}\n")
 
 
 def split_by_date(series: PriceSeries, cut: str) -> tuple[PriceSeries, PriceSeries]:

@@ -17,7 +17,6 @@ __all__ = [
     "PriceSeries",
     "ReturnSeries",
     "VolatilitySeries",
-    "IntradayPattern",
     "SessionCalendar",
     "log_returns",
     "normalize_volatility",
@@ -42,9 +41,10 @@ class PriceSeries:
         prices = np.asarray(self.prices, dtype=float)
         if prices.size < 2:
             raise ValueError("price series needs at least 2 observations")
-        bad = np.flatnonzero(prices <= 0)
+        bad = np.flatnonzero(~(np.isfinite(prices) & (prices > 0)))
         if bad.size:
-            raise ValueError(f"non-positive price at index {bad[0]}")
+            raise ValueError(f"price at index {bad[0]} must be finite and positive, "
+                             f"got {float(prices[bad[0]])}")
         if ts.shape != prices.shape:
             raise ValueError("timestamps and prices must have equal length")
         # compared in the timestamps' own unit: nanoseconds overflow past 292 years
@@ -87,17 +87,6 @@ class VolatilitySeries:
 
 
 @dataclass(frozen=True)
-class IntradayPattern:
-    """Cross-session mean volatility per time-of-day slot.
-
-    Slots never observed carry NaN mean and zero count (empty, not zero).
-    """
-
-    slot_means: np.ndarray
-    slot_counts: np.ndarray
-
-
-@dataclass(frozen=True)
 class SessionCalendar:
     """Trading session [open, close), "HH:MM" wall-clock strings."""
 
@@ -133,11 +122,13 @@ def normalize_volatility(returns: ReturnSeries) -> VolatilitySeries:
     """Normalize |G| by the full-sample standard deviation of G.
 
     The normalizer is sqrt(<G^2> - <G>^2) with <.> the time average over
-    the whole sample (population variance, not ddof=1).
+    the whole sample (population variance, not ddof=1). A std under 1e-6
+    of the RMS is taken for the rounding of equal returns, and is zero.
     """
     g = returns.values
-    var = np.mean(g * g) - np.mean(g) ** 2
-    if var <= 0 or not np.isfinite(var):
+    mean_sq = np.mean(g * g)
+    var = mean_sq - np.mean(g) ** 2
+    if not var > 1e-12 * mean_sq:  # also false for NaN
         raise ValueError("return series has zero standard deviation")
     return VolatilitySeries(values=np.abs(g) / np.sqrt(var))
 
@@ -161,8 +152,9 @@ def session_slots(timestamps, calendar: SessionCalendar, sampling_interval) -> t
     return secs // step, days.astype(np.int64)
 
 
-def build_intraday_pattern(vol: VolatilitySeries, slots, session_ids) -> IntradayPattern:
-    """Average volatility per time-of-day slot across sessions."""
+def build_intraday_pattern(vol: VolatilitySeries, slots, session_ids) -> np.ndarray:
+    """Mean volatility of each time-of-day slot across sessions, indexed by
+    slot; NaN for a slot never observed (empty, not zero)."""
     slots = np.asarray(slots, dtype=np.int64)
     session_ids = np.asarray(session_ids)
     if np.unique(session_ids).size < 2:
@@ -170,17 +162,16 @@ def build_intraday_pattern(vol: VolatilitySeries, slots, session_ids) -> Intrada
     n_slots = int(slots.max()) + 1
     counts = np.bincount(slots, minlength=n_slots)
     sums = np.bincount(slots, weights=vol.values, minlength=n_slots)
-    means = np.full(n_slots, np.nan)
-    np.divide(sums, counts, out=means, where=counts > 0)
-    return IntradayPattern(slot_means=means, slot_counts=counts)
+    return np.divide(sums, counts, out=np.full(n_slots, np.nan), where=counts > 0)
 
 
-def intraday_detrend(vol: VolatilitySeries, pattern: IntradayPattern, slots) -> VolatilitySeries:
-    """Divide each observation by its slot's cross-session mean."""
+def intraday_detrend(vol: VolatilitySeries, pattern: np.ndarray, slots) -> VolatilitySeries:
+    """Divide each observation by its slot's cross-session mean, `pattern`
+    being build_intraday_pattern's slot means."""
     slots = np.asarray(slots, dtype=np.int64)
-    if slots.max() >= pattern.slot_means.size:
+    if slots.max() >= pattern.size:
         raise ValueError(f"slot {int(slots.max())} not covered by pattern")
-    means = pattern.slot_means[slots]
+    means = pattern[slots]
     bad = ~(means > 0)  # catches NaN (empty slot) and non-positive means
     if np.any(bad):
         s = int(slots[np.flatnonzero(bad)[0]])

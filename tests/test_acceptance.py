@@ -136,7 +136,7 @@ def test_criterion_5_clustering(correlated_vol, oracle_seqs):
     shuf = extract_intervals(shuffle_volatility(correlated_vol, seed=5), 2.0)
     runs = clusters(median_split(shuf))
     ssurv = cluster_survival(runs, "above")
-    m = runs.above_sizes.size
+    m = runs["above"].size
     worst = 0.0 if ssurv[0, 1] == 1.0 else np.inf  # k=1 is exact
     for k in range(2, 11):
         p = 2.0 ** (1 - k)

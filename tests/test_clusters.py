@@ -40,18 +40,18 @@ class TestMedianSplit:
 class TestClusters:
     def test_run_length_encoding(self):
         runs = clusters([True, True, False, False, True])
-        assert runs.above_sizes.tolist() == [2, 1]
-        assert runs.below_sizes.tolist() == [2]
+        assert runs["above"].tolist() == [2, 1]
+        assert runs["below"].tolist() == [2]
 
     def test_alternating_all_ones(self):
         runs = clusters([True, False] * 10)
-        assert np.all(runs.above_sizes == 1)
-        assert np.all(runs.below_sizes == 1)
+        assert np.all(runs["above"] == 1)
+        assert np.all(runs["below"] == 1)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=200))
     def test_run_decomposition_is_a_bijection(self, labels):
         runs = clusters(labels)
-        assert runs.above_sizes.sum() + runs.below_sizes.sum() == len(labels)
+        assert runs["above"].sum() + runs["below"].sum() == len(labels)
         # rebuild the sequence from the runs, in order
         sizes = []
         lab = np.asarray(labels)
@@ -67,7 +67,7 @@ class TestClusters:
         labels = rng.random(10**6) < 0.5
         runs = clusters(labels)
         surv = cluster_survival(runs, "above")
-        m = runs.above_sizes.size
+        m = runs["above"].size
         assert surv[0, 1] == 1.0
         for k in range(2, 11):
             p = 2.0 ** (1 - k)
@@ -134,7 +134,7 @@ class TestShuffleVolatility:
         seq = extract_intervals(shuf, 2.0)
         runs = clusters(median_split(seq))
         surv = cluster_survival(runs, "above")
-        m = runs.above_sizes.size
+        m = runs["above"].size
         assert surv[0, 1] == 1.0
         for k in range(2, 11):
             p = 2.0 ** (1 - k)

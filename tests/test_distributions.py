@@ -31,7 +31,6 @@ class TestPdfEstimate:
         pdf = pdf_estimate(make_seq([1, 1, 2, 4]), mode="linear", n_bins=6)
         assert np.array_equal(pdf.bin_edges, [1, 1.5, 2, 2.5, 3, 3.5, 4])
         assert np.allclose(pdf.densities, [1, 0, 0.5, 0, 0, 0.5])
-        assert pdf.counts.tolist() == [2, 0, 1, 0, 0, 1]
 
     @pytest.mark.parametrize("mode", ["linear", "logarithmic"])
     def test_unit_integral(self, mode):
@@ -52,8 +51,9 @@ class TestPdfEstimate:
         seq = make_seq(rng.geometric(p, size=10**5))
         pdf = pdf_estimate(seq, mode="logarithmic", n_bins=25)
         edges = pdf.bin_edges
+        counts, _ = np.histogram(seq.intervals, pdf.bin_edges)
         for i in range(pdf.densities.size):
-            if pdf.counts[i] < 100:
+            if counts[i] < 100:
                 continue
             # analytic probability mass of integers inside the bin
             lo = int(np.ceil(edges[i]))

@@ -12,7 +12,6 @@ import pytest
 import volintervals
 from volintervals import (
     IntervalSequence,
-    IntradayPattern,
     PriceSeries,
     VolatilitySeries,
     clusters,
@@ -47,10 +46,15 @@ GUARDS = {
                    "price series needs at least 2 observations"),
     "prices_shape": (lambda: PriceSeries("p", DAYS, [1.0, 2.0], DAY), ValueError,
                      "timestamps and prices must have equal length"),
+    "prices_nan": (lambda: PriceSeries("p", DAYS, [1.0, np.nan, 2.0], DAY), ValueError,
+                   "price at index 1 must be finite and positive, got nan"),
+    "prices_inf": (lambda: PriceSeries("p", DAYS, [1.0, 2.0, np.inf], DAY), ValueError,
+                   "price at index 2 must be finite and positive, got inf"),
+    "prices_zero": (lambda: PriceSeries("p", DAYS, [0.0, 1.0, 2.0], DAY), ValueError,
+                    "price at index 0 must be finite and positive, got 0.0"),
     "volatility_negative": (lambda: VolatilitySeries([1.0, -1.0]), ValueError,
                             "volatility values must be non-negative"),
-    "detrend_slot": (lambda: intraday_detrend(VolatilitySeries([1.0, 1.0]),
-                                              IntradayPattern(np.ones(2), np.ones(2, int)), [0, 2]),
+    "detrend_slot": (lambda: intraday_detrend(VolatilitySeries([1.0, 1.0]), np.ones(2), [0, 2]),
                      ValueError, "slot 2 not covered by pattern"),
 }
 

@@ -223,6 +223,20 @@ class TestIngest:
         assert np.array_equal(s1.prices, s2.prices)  # bit-exact
         assert np.array_equal(s1.timestamps, s2.timestamps)
 
+    @pytest.mark.parametrize("stamps, bad", [
+        (["2000-01-01T00:00:00", "2000-01-01T00:00:00.500"], "1 is 2000-01-01T00:00:00.500"),
+        (["9999-12-31T23:59:59", "10000-01-01T00:00:00"], "1 is 10000-01-01T00:00:00.000"),
+        (["0000-12-31T23:59:59", "0001-01-01T00:00:00"], "0 is 0000-12-31T23:59:59.000"),
+        (["2000-01-01", "NaT", "2000-01-03"], "1 is NaT"),
+    ], ids=["half_second", "year_10000", "year_0", "nat"])
+    def test_emit_rejects_a_timestamp_ingest_cannot_read(self, tmp_path, stamps, bad):
+        ts = np.array(stamps, dtype="datetime64[ms]")
+        series = PriceSeries("p", ts, np.arange(1.0, ts.size + 1), np.timedelta64(500, "ms"))
+        with pytest.raises(ValueError) as exc:
+            write_csv(series, tmp_path / "p.csv")
+        assert str(exc.value) == f"timestamp at index {bad}: need a whole second in years 1-9999"
+        assert list(tmp_path.iterdir()) == []
+
 
 TIMESTAMPS = st.one_of(
     st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1)).map(datetime.isoformat),
@@ -270,6 +284,38 @@ def test_any_csv_text_is_a_series_or_an_ingest_error_naming_the_line(
         assert not [w for w in caught if "representation of timezones" in str(w.message)]
         assert not np.any(np.isnat(series.timestamps))
         assert series.sampling_interval > np.timedelta64(0, "s")
+
+
+_YEAR_1, _YEAR_10000 = (int(np.datetime64(y, "s").astype(np.int64)) for y in ("0001", "10000"))
+
+
+@st.composite
+def price_series(draw):
+    """A PriceSeries whose timestamps may fall off whole seconds or outside years 1-9999."""
+    unit = draw(st.sampled_from(["s", "ms", "us"]))
+    per_s = {"s": 1, "ms": 10**3, "us": 10**6}[unit]
+    start = draw(st.integers(_YEAR_1 - 5, _YEAR_10000 + 5)) * per_s
+    start += draw(st.just(0) | st.integers(0, per_s - 1))
+    steps = draw(st.lists(st.integers(1, 10**6).map(per_s.__mul__) | st.integers(1, 10**9),
+                          min_size=1, max_size=20))
+    prices = draw(st.lists(st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+                           min_size=len(steps) + 1, max_size=len(steps) + 1))
+    ts = np.array(np.cumsum([start, *steps]), dtype=f"datetime64[{unit}]")
+    return PriceSeries("p", ts, prices, np.timedelta64(1, unit))
+
+
+@pytest.mark.long_search
+@given(series=price_series())
+def test_emit_fails_cleanly_or_round_trips_bit_for_bit(tmp_path_factory, series):
+    f = tmp_path_factory.mktemp("emit") / "p.csv"
+    try:
+        write_csv(series, f)
+    except ValueError:
+        assert list(f.parent.iterdir()) == []
+        return
+    back = ingest_csv(f)
+    assert np.array_equal(back.timestamps, series.timestamps)
+    assert back.prices.view(np.int64).tolist() == series.prices.view(np.int64).tolist()
 
 
 def _ingest_outcome(read, path):
@@ -696,6 +742,33 @@ class TestRunPipeline:
         summary = json.loads((out / "flat" / "summary.json").read_text())
         assert summary["per_q"] == {} and summary["errors"] == [error]
         assert (out / "good" / "q1" / "cluster_surrogate.tsv").exists()
+
+    def test_constant_growth_fails_volatility(self, tmp_path):
+        # every return equal: var = <G^2> - <G>^2 is only rounding, 2e-22
+        days = np.arange("2000-01-01", 1000, dtype="datetime64[D]")
+        growth = tmp_path / "growth.csv"
+        growth.write_text("timestamp,price\n" + "".join(
+            f"{d},{100 * 1.001 ** t!r}\n" for t, d in enumerate(days)))
+        out = tmp_path / "out"
+        assert main(["analyze", str(growth), "--q", "2", "--ensemble", "2", "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["errors"] == [{"instrument": "growth", "q": None, "stage": "volatility",
+                                     "error": "return series has zero standard deviation"}]
+
+    def test_detrending_slot_with_zero_mean_fails_volatility(self, tmp_path):
+        # 5 sessions of 09:00-09:05 bars, each flat from 09:00 to 09:01: slot 0's mean is 0
+        flat_open = tmp_path / "flat_open.csv"
+        flat_open.write_text("timestamp,price\n" + "".join(
+            f"2000-01-{d:02d}T09:0{m}:00,{p}\n" for d in range(3, 8)
+            for m, p in enumerate([100, 100, 100 + d, 99, 101, 100 - d])))
+        config = tmp_path / "session.cfg"
+        config.write_text(f"input = {flat_open}\nq = 1\nensemble = 2\n"
+                          "session_open = 09:00\nsession_close = 15:00\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["errors"] == [{"instrument": "flat_open", "q": None, "stage": "volatility",
+                                     "error": "pattern slot 0 is empty or non-positive"}]
 
     def test_conditional_blocks_sorted_once_per_statistic(self, tmp_path, monkeypatch):
         # conditional PDFs, conditional mean, shuffled conditional mean

@@ -71,6 +71,13 @@ class TestNormalizeVolatility:
         with pytest.raises(ValueError, match="return series has zero standard deviation"):
             normalize_volatility(ReturnSeries(np.zeros(10)))
 
+    def test_constant_growth_raises(self):
+        # equal returns leave var = <G^2> - <G>^2 at 2e-22, the rounding of 1e-6
+        t = np.arange(1000)
+        prices = PriceSeries("g", t.astype("datetime64[D]"), 100 * 1.001 ** t, np.timedelta64(1, "D"))
+        with pytest.raises(ValueError, match="return series has zero standard deviation"):
+            normalize_volatility(log_returns(prices))
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         r = rng.standard_normal(200)
@@ -90,12 +97,12 @@ class TestIntradayPattern:
     def test_two_identical_sessions(self):
         vol = VolatilitySeries(np.array([1.0, 2, 3, 1, 2, 3]))
         pat = build_intraday_pattern(vol, slots=[0, 1, 2, 0, 1, 2], session_ids=[0, 0, 0, 1, 1, 1])
-        assert np.allclose(pat.slot_means, [1, 2, 3])
+        assert np.allclose(pat, [1, 2, 3])
 
     def test_mean_of_two_sessions(self):
         vol = VolatilitySeries(np.array([1.0, 3, 3, 1]))
         pat = build_intraday_pattern(vol, slots=[0, 1, 0, 1], session_ids=[0, 0, 1, 1])
-        assert np.allclose(pat.slot_means, [2, 2])
+        assert np.allclose(pat, [2, 2])
 
     def test_single_session_raises(self):
         vol = VolatilitySeries(np.array([1.0, 2, 3]))
@@ -105,8 +112,7 @@ class TestIntradayPattern:
     def test_empty_slot_is_nan_not_zero(self):
         vol = VolatilitySeries(np.array([1.0, 1.0]))
         pat = build_intraday_pattern(vol, slots=[0, 2], session_ids=[0, 1])
-        assert np.isnan(pat.slot_means[1])
-        assert pat.slot_counts[1] == 0
+        assert np.isnan(pat[1])
 
 
 class TestDetrend:
@@ -131,6 +137,11 @@ class TestDetrend:
         pat = build_intraday_pattern(vol, slots=[0, 2], session_ids=[0, 1])
         with pytest.raises(ValueError, match="slot 1"):
             intraday_detrend(vol, pat, [0, 1])
+
+    def test_zero_mean_slot_raises_naming_slot(self):
+        vol = VolatilitySeries(np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="^pattern slot 1 is empty or non-positive$"):
+            intraday_detrend(vol, np.array([1.0, 0.0]), [0, 1, 0])
 
     def test_removes_imposed_u_shape(self):
         rng = np.random.default_rng(6)
