@@ -30,10 +30,9 @@ for s in seqs:
 
 print("\nscaled PDF sample points (x = tau/<tau>, y = P*<tau>):")
 for s in seqs:
-    scaled = scale_pdf(pdf_estimate(s, n_bins=16), s.mean_interval)
-    picks = scaled.y > 0
-    xs = "  ".join(f"({x:5.2f},{y:6.3f})" for x, y in
-                   list(zip(scaled.x[picks], scaled.y[picks]))[:6])
+    x, y = scale_pdf(pdf_estimate(s, n_bins=16), s.mean_interval)
+    picks = y > 0
+    xs = "  ".join(f"({a:5.2f},{b:6.3f})" for a, b in list(zip(x[picks], y[picks]))[:6])
     print(f"  q={s.threshold_q:<4g} {xs}")
 
 d = collapse_distance(seqs, jitter_seed=0)

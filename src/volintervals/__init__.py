@@ -9,7 +9,6 @@ surrogates and synthetic correlated/i.i.d. oracles for verification.
 from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
 from .distributions import (
     BinnedPDF,
-    ScaledPDF,
     collapse_distance,
     pdf_estimate,
     poisson_deviation,
@@ -17,7 +16,6 @@ from .distributions import (
 )
 from .intervals import IntervalSequence, extract_intervals
 from .memory import (
-    ConditionalMeanCurve,
     conditional_mean_curve,
     conditional_pdfs,
     shuffle_intervals,

@@ -21,7 +21,6 @@ from .intervals import IntervalSequence
 
 __all__ = [
     "BinnedPDF",
-    "ScaledPDF",
     "pdf_estimate",
     "scale_pdf",
     "collapse_distance",
@@ -40,12 +39,6 @@ class BinnedPDF:
         if self.binning_mode == "logarithmic":
             return np.sqrt(e[:-1] * e[1:])
         return 0.5 * (e[:-1] + e[1:])
-
-
-@dataclass(frozen=True)
-class ScaledPDF:
-    x: np.ndarray  # tau / <tau>
-    y: np.ndarray  # P_q(tau) * <tau>
 
 
 def pdf_estimate(seq, mode: str = "logarithmic", n_bins: int = 30) -> BinnedPDF:
@@ -76,11 +69,11 @@ def pdf_estimate(seq, mode: str = "logarithmic", n_bins: int = 30) -> BinnedPDF:
     return BinnedPDF(bin_edges=bin_edges, densities=densities, binning_mode=mode)
 
 
-def scale_pdf(pdf: BinnedPDF, mean_interval: float) -> ScaledPDF:
-    """Rescale a density to collapse coordinates (tau/<tau>, P*<tau>)."""
+def scale_pdf(pdf: BinnedPDF, mean_interval: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale a density to collapse coordinates: the arrays (tau/<tau>, P*<tau>)."""
     if mean_interval <= 0:
         raise ValueError("mean_interval must be positive")
-    return ScaledPDF(x=pdf.bin_centers() / mean_interval, y=pdf.densities * mean_interval)
+    return pdf.bin_centers() / mean_interval, pdf.densities * mean_interval
 
 
 def continuity_corrected_sample(seq, rng) -> np.ndarray:

@@ -53,7 +53,7 @@ def extract_intervals(vol, q: float, session_ids=None) -> IntervalSequence:
     """
     if q <= 0:
         raise ValueError("threshold q must be positive")
-    g = vol.values if isinstance(vol, VolatilitySeries) else np.asarray(vol, dtype=float)
+    g = (vol if isinstance(vol, VolatilitySeries) else VolatilitySeries(vol)).values
     if g.size < 2:
         raise ValueError("volatility series needs at least 2 samples")
     events = np.flatnonzero(g > q)

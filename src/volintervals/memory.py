@@ -9,27 +9,17 @@ intervals serve as the no-memory baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .distributions import ScaledPDF, pdf_estimate, scale_pdf
+from .distributions import pdf_estimate, scale_pdf
 from .intervals import IntervalSequence
 
 __all__ = [
-    "ConditionalMeanCurve",
     "conditional_blocks",
     "conditional_pdfs",
     "conditional_mean_curve",
     "shuffle_intervals",
 ]
-
-
-@dataclass(frozen=True)
-class ConditionalMeanCurve:
-    bin_centers: np.ndarray  # mean conditioning value per block, / <tau>
-    means: np.ndarray  # mean successor per block, / <tau>
-    stderr: np.ndarray  # scaled standard errors
 
 
 def conditional_blocks(seq: IntervalSequence, n_subsets: int = 8):
@@ -50,8 +40,8 @@ def conditional_blocks(seq: IntervalSequence, n_subsets: int = 8):
 
 
 def conditional_pdfs(seq: IntervalSequence, n_subsets: int = 8,
-                     mode: str = "logarithmic", n_bins: int = 20) -> list[ScaledPDF]:
-    """Scaled PDF of the successors in each value block, block 1 first.
+                     mode: str = "logarithmic", n_bins: int = 20) -> list[tuple]:
+    """Scaled PDF (x, y) of the successors in each value block, block 1 first.
 
     Scaling uses the full-sequence mean interval, so the conditional
     curves of different blocks are directly comparable.
@@ -60,15 +50,16 @@ def conditional_pdfs(seq: IntervalSequence, n_subsets: int = 8,
     return [scale_pdf(pdf_estimate(s, mode=mode, n_bins=n_bins), seq.mean_interval) for s in succ]
 
 
-def conditional_mean_curve(seq: IntervalSequence, n_bins: int = 8) -> ConditionalMeanCurve:
-    """Mean successor interval vs predecessor size, both scaled by <tau>."""
-    cond, succ = conditional_blocks(seq, n_bins)
+def conditional_mean_curve(seq: IntervalSequence, n_subsets: int = 8) -> tuple:
+    """Mean successor interval vs predecessor size: (centers, means, stderr),
+    per block the mean predecessor, mean successor and its standard error, / <tau>."""
+    cond, succ = conditional_blocks(seq, n_subsets)
     mean = seq.mean_interval
     centers = np.array([c.mean() for c in cond]) / mean
     sums = np.array([s.sum() for s in succ], dtype=np.int64)  # exact, as integers
     means = sums / np.array([s.size for s in succ]) / mean
     stderr = np.array([s.std(ddof=1) / np.sqrt(s.size) if s.size > 1 else np.inf for s in succ]) / mean
-    return ConditionalMeanCurve(bin_centers=centers, means=means, stderr=stderr)
+    return centers, means, stderr
 
 
 def shuffle_intervals(seq: IntervalSequence, seed: int) -> IntervalSequence:

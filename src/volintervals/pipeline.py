@@ -338,7 +338,7 @@ def write_csv(series: PriceSeries, path) -> None:
     """Emit a series in the ingestion format (round-trips bit-exactly); a
     ValueError, and no file, if a timestamp is not a whole second in years 1-9999."""
     ts = series.timestamps
-    secs = ts.astype("datetime64[s]", copy=False)  # NaT fails every comparison below
+    secs = ts.astype("datetime64[s]", copy=False)
     ok = (secs == ts) & (secs >= np.datetime64("0001")) & (secs < np.datetime64("10000"))
     if not ok.all():
         i = int(np.argmin(ok))
@@ -425,8 +425,7 @@ def _intervals_tables(seq, cfg):
 
 def _pdf_tables(seq, cfg):
     pdf = pdf_estimate(seq, mode=cfg.binning, n_bins=cfg.n_bins)
-    scaled = scale_pdf(pdf, seq.mean_interval)
-    yield Table("scaled_pdf", ("x", "y"), (scaled.x, scaled.y))
+    yield Table("scaled_pdf", ("x", "y"), scale_pdf(pdf, seq.mean_interval))
 
 
 _MEAN_HEADER = ("tau0_scaled", "mean_scaled", "stderr")
@@ -435,15 +434,14 @@ _MEAN_HEADER = ("tau0_scaled", "mean_scaled", "stderr")
 def _conditional_tables(seq, cfg):
     pdfs = conditional_pdfs(seq, n_subsets=cfg.n_subsets, mode=cfg.binning, n_bins=cfg.n_bins)
     for k, scaled in enumerate(pdfs, start=1):
-        yield Table("conditional_pdf", ("x", "y"), (scaled.x, scaled.y), f"_k{k}")
-    curve = conditional_mean_curve(seq, n_bins=cfg.n_subsets)
-    yield Table("conditional_mean", _MEAN_HEADER, (curve.bin_centers, curve.means, curve.stderr))
+        yield Table("conditional_pdf", ("x", "y"), scaled, f"_k{k}")
+    curve = conditional_mean_curve(seq, n_subsets=cfg.n_subsets)
+    yield Table("conditional_mean", _MEAN_HEADER, curve)
 
 
 def _shuffled_mean_tables(seq, cfg):
-    curve = conditional_mean_curve(shuffle_intervals(seq, cfg.seed), n_bins=cfg.n_subsets)
-    yield Table("conditional_mean_shuffled", _MEAN_HEADER,
-                (curve.bin_centers, curve.means, curve.stderr))
+    curve = conditional_mean_curve(shuffle_intervals(seq, cfg.seed), n_subsets=cfg.n_subsets)
+    yield Table("conditional_mean_shuffled", _MEAN_HEADER, curve)
 
 
 def _cluster_tables(seq, cfg):

@@ -48,7 +48,7 @@ class PriceSeries:
         if ts.shape != prices.shape:
             raise ValueError("timestamps and prices must have equal length")
         # compared in the timestamps' own unit: nanoseconds overflow past 292 years
-        if np.any(np.diff(ts) <= np.timedelta64(0)):
+        if not (np.diff(ts) > np.timedelta64(0)).all():  # NaT fails every comparison
             raise ValueError("timestamps must be strictly increasing")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "prices", prices)
@@ -78,7 +78,7 @@ class VolatilitySeries:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if np.any(v < 0):
+        if not (v >= 0).all():  # NaN fails every comparison
             raise ValueError("volatility values must be non-negative")
         object.__setattr__(self, "values", v)
 

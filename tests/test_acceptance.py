@@ -102,13 +102,13 @@ def test_criterion_2_original_tolerance(oracle_seqs):
 
 def test_criterion_3_conditional_mean_memory(oracle_seqs):
     seq = oracle_seqs[1.0]
-    curve = conditional_mean_curve(seq, n_bins=8)
-    low_ok = curve.means[0] < 1.0 - 3 * curve.stderr[0]
-    high_ok = curve.means[-1] > 1.0 + 3 * curve.stderr[-1]
-    shuf = conditional_mean_curve(shuffle_intervals(seq, seed=42), n_bins=8)
-    flat_ok = bool(np.all(np.abs(shuf.means - 1.0) < 3 * shuf.stderr))
-    report(3, f"memory: lowest octile {curve.means[0]:.3f}, highest {curve.means[-1]:.3f}; "
-              f"shuffled max |dev|/stderr={np.max(np.abs(shuf.means - 1) / shuf.stderr):.2f}",
+    _, means, stderr = conditional_mean_curve(seq, n_subsets=8)
+    low_ok = means[0] < 1.0 - 3 * stderr[0]
+    high_ok = means[-1] > 1.0 + 3 * stderr[-1]
+    _, shuf_means, shuf_stderr = conditional_mean_curve(shuffle_intervals(seq, seed=42), n_subsets=8)
+    flat_ok = bool(np.all(np.abs(shuf_means - 1.0) < 3 * shuf_stderr))
+    report(3, f"memory: lowest octile {means[0]:.3f}, highest {means[-1]:.3f}; "
+              f"shuffled max |dev|/stderr={np.max(np.abs(shuf_means - 1) / shuf_stderr):.2f}",
            low_ok and high_ok and flat_ok)
 
 
@@ -208,8 +208,8 @@ def test_criterion_8_determinism_and_exactness(tmp_path):
     succ = conditional_blocks(seq, n_subsets=8)[1]
     sums = np.array([s.sum() for s in succ])
     counts = np.array([s.size for s in succ])
-    curve = conditional_mean_curve(seq, n_bins=8)
-    lote = (np.array_equal(curve.means, sums / counts / seq.mean_interval)
+    _, means, _ = conditional_mean_curve(seq, n_subsets=8)
+    lote = (np.array_equal(means, sums / counts / seq.mean_interval)
             and int(sums.sum()) == int(seq.intervals[1:].sum())
             and int(counts.sum()) == len(seq) - 1)
 

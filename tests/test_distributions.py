@@ -69,25 +69,25 @@ class TestPdfEstimate:
 class TestScalePdf:
     def test_direct_application(self):
         pdf = pdf_estimate(make_seq([1, 1, 2, 4]), mode="linear", n_bins=3)
-        scaled = scale_pdf(pdf, 2.0)
+        x, y = scale_pdf(pdf, 2.0)
         # density 0.25 over [2, 3) maps to (2.5 / 2, 0.25 * 2)
         assert np.allclose(pdf.densities, [0.5, 0.25, 0.25])
-        assert np.allclose(scaled.x, [0.75, 1.25, 1.75])
-        assert np.allclose(scaled.y, [1.0, 0.5, 0.5])
+        assert np.allclose(x, [0.75, 1.25, 1.75])
+        assert np.allclose(y, [1.0, 0.5, 0.5])
 
     def test_unit_mean_is_identity(self):
         pdf = pdf_estimate(make_seq([1, 2, 3, 4]), mode="linear", n_bins=3)
-        scaled = scale_pdf(pdf, 1.0)
-        assert np.allclose(scaled.x, pdf.bin_centers())
-        assert np.allclose(scaled.y, pdf.densities)
+        x, y = scale_pdf(pdf, 1.0)
+        assert np.allclose(x, pdf.bin_centers())
+        assert np.allclose(y, pdf.densities)
 
     def test_unit_integral_in_scaled_coordinates(self):
         rng = np.random.default_rng(2)
         seq = make_seq(rng.geometric(0.1, size=20000))
         pdf = pdf_estimate(seq, mode="logarithmic", n_bins=20)
-        scaled = scale_pdf(pdf, seq.mean_interval)
+        _, y = scale_pdf(pdf, seq.mean_interval)
         widths = np.diff(pdf.bin_edges) / seq.mean_interval
-        assert np.sum(scaled.y * widths) == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(y * widths) == pytest.approx(1.0, abs=1e-9)
 
     def test_exponential_sample_matches_exp_curve(self):
         rng = np.random.default_rng(3)
@@ -267,11 +267,16 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # synth, analyze with a split, and pdf, whose stdout holds poisson_deviation
+    # synth, analyze with a split, pdf, whose stdout holds poisson_deviation, the
+    # other stage commands and split
     commands = [["synth", "--kind", "correlated", "--length", "4096", "--out", "s.csv"],
                 ["analyze", "s.csv", "--q", "1", "--q", "2", "--ensemble", "5",
                  "--split-date", "1989-12-29", "--out", "o"],
-                ["pdf", "s.csv", "--q", "1", "--q", "2", "--out", "p"]]
+                ["pdf", "s.csv", "--q", "1", "--q", "2", "--out", "p"],
+                ["intervals", "s.csv", "--q", "1", "--out", "i"],
+                ["conditional", "s.csv", "--q", "1", "--out", "c"],
+                ["clusters", "s.csv", "--q", "1", "--out", "k"],
+                ["split", "s.csv", "--split-date", "1989-12-29", "--out", "sp"]]
     trees = []
     for block in ("sys.modules['scipy'] = None; ", ""):  # with the block any scipy import fails
         code = f"import sys; {block}from volintervals.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -282,6 +287,7 @@ def test_commands_run_without_scipy(tmp_path):
         trees.append((stdout, files))
     assert trees[0] == trees[1]
     assert "poisson_deviation=" in trees[0][0][2] and "o/s/pre/summary.json" in trees[0][1]
+    assert {"i", "c", "k", "sp"} <= {name.split("/")[0] for name in trees[0][1]}
 
 
 class TestPoissonDeviation:

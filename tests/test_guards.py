@@ -42,6 +42,10 @@ GUARDS = {
                   "threshold q must be positive"),
     "extract_one_sample": (lambda: extract_intervals([3.0], 1.0), ValueError,
                            "volatility series needs at least 2 samples"),
+    "extract_nan": (lambda: extract_intervals([2.0, np.nan, 2.0], 1.0), ValueError,
+                    "volatility values must be non-negative"),
+    "extract_negative": (lambda: extract_intervals([2.0, -3.0, 2.0], 1.0), ValueError,
+                         "volatility values must be non-negative"),
     "prices_one": (lambda: PriceSeries("p", DAYS[:1], [1.0], DAY), ValueError,
                    "price series needs at least 2 observations"),
     "prices_shape": (lambda: PriceSeries("p", DAYS, [1.0, 2.0], DAY), ValueError,
@@ -52,8 +56,13 @@ GUARDS = {
                    "price at index 2 must be finite and positive, got inf"),
     "prices_zero": (lambda: PriceSeries("p", DAYS, [0.0, 1.0, 2.0], DAY), ValueError,
                     "price at index 0 must be finite and positive, got 0.0"),
+    "prices_nat": (lambda: PriceSeries("p", np.array(["2000-01-01", "NaT", "2000-01-03"],
+                                                     dtype="datetime64[s]"), [1.0, 2.0, 3.0], DAY),
+                   ValueError, "timestamps must be strictly increasing"),
     "volatility_negative": (lambda: VolatilitySeries([1.0, -1.0]), ValueError,
                             "volatility values must be non-negative"),
+    "volatility_nan": (lambda: VolatilitySeries([1.0, np.nan]), ValueError,
+                       "volatility values must be non-negative"),
     "detrend_slot": (lambda: intraday_detrend(VolatilitySeries([1.0, 1.0]), np.ones(2), [0, 2]),
                      ValueError, "slot 2 not covered by pattern"),
 }

@@ -37,9 +37,9 @@ def test_periodic_alternation():
 def test_conditional_mean_alternating_exact():
     seq = make_seq([1, 9] * 8)
     assert seq.mean_interval == 5.0
-    curve = conditional_mean_curve(seq, n_bins=2)
-    assert curve.means[0] == pytest.approx(1.8)
-    assert curve.means[1] == pytest.approx(0.2)
+    _, means, _ = conditional_mean_curve(seq, n_subsets=2)
+    assert means[0] == pytest.approx(1.8)
+    assert means[1] == pytest.approx(0.2)
 
 
 def test_union_of_conditional_samples_is_all_successors():
@@ -57,8 +57,8 @@ def test_law_of_total_expectation_exact():
         succ = conditional_blocks(seq, n_subsets=8)[1]
         sums = np.array([s.sum() for s in succ])
         counts = np.array([s.size for s in succ])
-        curve = conditional_mean_curve(seq, n_bins=8)
-        assert np.array_equal(curve.means, sums / counts / seq.mean_interval)
+        _, means, _ = conditional_mean_curve(seq, n_subsets=8)
+        assert np.array_equal(means, sums / counts / seq.mean_interval)
         total = sums.sum()
         assert total == seq.intervals[1:].sum()
         assert counts.sum() == len(seq) - 1
@@ -82,17 +82,17 @@ def test_insufficient_pairs():
 def test_iid_geometric_bin_means_near_one():
     rng = np.random.default_rng(2)
     seq = make_seq(rng.geometric(0.2, size=10**5))
-    curve = conditional_mean_curve(seq, n_bins=8)
-    assert np.all(np.abs(curve.means - 1.0) < 3 * curve.stderr)
+    _, means, stderr = conditional_mean_curve(seq, n_subsets=8)
+    assert np.all(np.abs(means - 1.0) < 3 * stderr)
 
 
 def test_correlated_oracle_shows_memory(correlated_vol):
     seq = extract_intervals(correlated_vol, 1.0)
-    curve = conditional_mean_curve(seq, n_bins=8)
-    assert curve.means[0] < 1.0
-    assert curve.means[-1] > 1.0
-    # near-monotone in tau0: at most 1 inversion among the 8 bins
-    inversions = int(np.sum(np.diff(curve.means) < 0))
+    _, means, _ = conditional_mean_curve(seq, n_subsets=8)
+    assert means[0] < 1.0
+    assert means[-1] > 1.0
+    # near-monotone in tau0: at most 1 inversion among the 8 blocks
+    inversions = int(np.sum(np.diff(means) < 0))
     assert inversions <= 1
 
 
@@ -113,8 +113,8 @@ def test_shuffle_single_interval_unchanged():
 def test_shuffled_correlated_mean_curve_is_flat(correlated_vol):
     seq = extract_intervals(correlated_vol, 1.0)
     shuf = shuffle_intervals(seq, seed=42)
-    curve = conditional_mean_curve(shuf, n_bins=8)
-    assert np.all(np.abs(curve.means - 1.0) < 3 * curve.stderr)
+    _, means, stderr = conditional_mean_curve(shuf, n_subsets=8)
+    assert np.all(np.abs(means - 1.0) < 3 * stderr)
 
 
 def test_shuffled_conditional_matches_unconditional():
@@ -136,8 +136,9 @@ def test_conditional_pdf_scaled_with_full_sequence_mean(correlated_vol):
     seq = extract_intervals(correlated_vol, 1.5)
     pdfs = conditional_pdfs(seq, n_subsets=8)
     assert len(pdfs) == 8
-    assert np.all(pdfs[7].x >= 0)
-    assert np.all(pdfs[7].y >= 0)
+    x, y = pdfs[7]
+    assert np.all(x >= 0)
+    assert np.all(y >= 0)
     # the largest-predecessor octile skews toward long successors
     assert conditional_blocks(seq, 8)[1][7].mean() > seq.mean_interval
 
@@ -148,7 +149,7 @@ def test_conditional_pdfs_match_per_block_oracle(correlated_vol, mode, n_bins):
     _, succ = conditional_blocks(seq, 5)
     got = conditional_pdfs(seq, n_subsets=5, mode=mode, n_bins=n_bins)
     assert len(got) == len(succ)
-    for block, scaled in zip(succ, got):
-        want = scale_pdf(pdf_estimate(block, mode=mode, n_bins=n_bins), seq.mean_interval)
-        assert np.array_equal(scaled.x, want.x)
-        assert np.array_equal(scaled.y, want.y)
+    for block, (x, y) in zip(succ, got):
+        want_x, want_y = scale_pdf(pdf_estimate(block, mode=mode, n_bins=n_bins), seq.mean_interval)
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(y, want_y)
