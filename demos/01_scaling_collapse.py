@@ -15,7 +15,6 @@ from volintervals import (
     extract_intervals,
     pdf_estimate,
     poisson_deviation,
-    scale_pdf,
 )
 
 vol = VolatilitySeries(np.abs(correlated_gaussian(2**20, 0.3, 1)))
@@ -30,7 +29,7 @@ for s in seqs:
 
 print("\nscaled PDF sample points (x = tau/<tau>, y = P*<tau>):")
 for s in seqs:
-    x, y = scale_pdf(pdf_estimate(s, n_bins=16), s.mean_interval)
+    x, y = pdf_estimate(s.intervals, s.mean_interval, n_bins=16)
     picks = y > 0
     xs = "  ".join(f"({a:5.2f},{b:6.3f})" for a, b in list(zip(x[picks], y[picks]))[:6])
     print(f"  q={s.threshold_q:<4g} {xs}")

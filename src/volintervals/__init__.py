@@ -7,13 +7,7 @@ surrogates and synthetic correlated/i.i.d. oracles for verification.
 """
 
 from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
-from .distributions import (
-    BinnedPDF,
-    collapse_distance,
-    pdf_estimate,
-    poisson_deviation,
-    scale_pdf,
-)
+from .distributions import collapse_distance, pdf_estimate, poisson_deviation
 from .intervals import IntervalSequence, extract_intervals
 from .memory import (
     conditional_mean_curve,
@@ -24,12 +18,12 @@ from .pipeline import AnalysisConfig, ingest_csv, run_pipeline, split_by_date, w
 from .series import (
     PriceSeries,
     ReturnSeries,
-    SessionCalendar,
     VolatilitySeries,
     build_intraday_pattern,
     intraday_detrend,
     log_returns,
     normalize_volatility,
+    session_bounds,
     session_slots,
 )
 from .synthetic import (

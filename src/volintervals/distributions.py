@@ -13,67 +13,48 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .intervals import IntervalSequence
 
 __all__ = [
-    "BinnedPDF",
     "pdf_estimate",
-    "scale_pdf",
     "collapse_distance",
     "poisson_deviation",
 ]
 
 
-@dataclass(frozen=True)
-class BinnedPDF:
-    bin_edges: np.ndarray
-    densities: np.ndarray
-    binning_mode: str  # "linear" or "logarithmic"
+def pdf_estimate(intervals, mean_interval: float, mode: str = "logarithmic",
+                 n_bins: int = 30) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram density of intervals in collapse coordinates: the arrays
+    (bin centre / mean_interval, density * mean_interval).
 
-    def bin_centers(self) -> np.ndarray:
-        e = self.bin_edges
-        if self.binning_mode == "logarithmic":
-            return np.sqrt(e[:-1] * e[1:])
-        return 0.5 * (e[:-1] + e[1:])
-
-
-def pdf_estimate(seq, mode: str = "logarithmic", n_bins: int = 30) -> BinnedPDF:
-    """Histogram density of an interval sequence, integral normalized to 1.
-
-    Logarithmic mode uses log-spaced edges from min to max interval.
+    The density integrates to 1 over the bins. Logarithmic mode uses
+    log-spaced edges from min to max interval and geometric bin centres.
     """
-    x = np.asarray(seq.intervals if isinstance(seq, IntervalSequence) else seq, dtype=float)
+    x = np.asarray(intervals, dtype=float)
     if x.size == 0:
         raise ValueError("cannot estimate a PDF from an empty sequence")
     if mode not in ("linear", "logarithmic"):
         raise ValueError(f"unknown binning mode {mode!r}")
     if n_bins < 2:
         raise ValueError("need at least 2 bins")
+    if mean_interval <= 0:
+        raise ValueError("mean_interval must be positive")
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         if mode == "logarithmic":
             warnings.warn("all intervals identical; falling back to a single linear bin")
             mode = "linear"
-        bin_edges = np.array([lo - 0.5, lo + 0.5])
+        edges = np.array([lo - 0.5, lo + 0.5])
     elif mode == "logarithmic":
-        bin_edges = np.geomspace(lo, hi, n_bins + 1)
+        edges = np.geomspace(lo, hi, n_bins + 1)
     else:
-        bin_edges = np.linspace(lo, hi, n_bins + 1)
-    counts, bin_edges = np.histogram(x, bins=bin_edges)
-    widths = np.diff(bin_edges)
-    densities = counts / (x.size * widths)
-    return BinnedPDF(bin_edges=bin_edges, densities=densities, binning_mode=mode)
-
-
-def scale_pdf(pdf: BinnedPDF, mean_interval: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale a density to collapse coordinates: the arrays (tau/<tau>, P*<tau>)."""
-    if mean_interval <= 0:
-        raise ValueError("mean_interval must be positive")
-    return pdf.bin_centers() / mean_interval, pdf.densities * mean_interval
+        edges = np.linspace(lo, hi, n_bins + 1)
+    densities = np.histogram(x, bins=edges)[0] / (x.size * np.diff(edges))
+    centres = np.sqrt(edges[:-1] * edges[1:]) if mode == "logarithmic" else 0.5 * (edges[:-1] + edges[1:])
+    return centres / mean_interval, densities * mean_interval
 
 
 def continuity_corrected_sample(seq, rng) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import pdf_estimate, scale_pdf
+from .distributions import pdf_estimate
 from .intervals import IntervalSequence
 
 __all__ = [
@@ -47,7 +47,7 @@ def conditional_pdfs(seq: IntervalSequence, n_subsets: int = 8,
     curves of different blocks are directly comparable.
     """
     _, succ = conditional_blocks(seq, n_subsets)
-    return [scale_pdf(pdf_estimate(s, mode=mode, n_bins=n_bins), seq.mean_interval) for s in succ]
+    return [pdf_estimate(s, seq.mean_interval, mode=mode, n_bins=n_bins) for s in succ]
 
 
 def conditional_mean_curve(seq: IntervalSequence, n_subsets: int = 8) -> tuple:

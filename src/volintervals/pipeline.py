@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import re
 import warnings
@@ -22,17 +23,17 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
-from .distributions import collapse_distance, pdf_estimate, poisson_deviation, scale_pdf
+from .distributions import collapse_distance, pdf_estimate, poisson_deviation
 from .intervals import extract_intervals
 from .memory import conditional_mean_curve, conditional_pdfs, shuffle_intervals
 from .series import (
     PriceSeries,
-    SessionCalendar,
     build_intraday_pattern,
     gap_report,
     intraday_detrend,
     log_returns,
     normalize_volatility,
+    session_bounds,
     session_slots,
 )
 
@@ -103,17 +104,23 @@ class AnalysisConfig:
             raise ConfigError(f"binning must be 'linear' or 'logarithmic', got {self.binning!r}")
         for key, least in (("n_bins", 2), ("n_subsets", 1), ("seed", 0), ("ensemble", 1),
                            ("max_workers", 1)):
+            try:  # numpy integers pass, floats and strings do not
+                setattr(self, key, operator.index(getattr(self, key)))
+            except TypeError:
+                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.split_date is not None:
             parse_time(self.split_date, "split_date")
         if (self.session_open is None) != (self.session_close is None):
             raise ConfigError("session_open and session_close must be given together")
+        if not isinstance(self.drop_session_gaps, bool):
+            raise ConfigError(f"drop_session_gaps must be True or False, got {self.drop_session_gaps!r}")
         if self.drop_session_gaps and self.session_open is None:
             raise ConfigError("drop_session_gaps requires session_open and session_close")
         try:
             if self.session_open is not None:
-                SessionCalendar(self.session_open, self.session_close)
+                session_bounds(self.session_open, self.session_close)
         except ValueError as exc:  # a bound that is not HH:MM, or open not before close
             raise ConfigError(str(exc)) from None
 
@@ -139,7 +146,7 @@ def load_config(path, **overrides) -> AnalysisConfig:
             if key == "input":
                 kw.setdefault("inputs", []).append(value)
             elif key == "q":
-                kw["thresholds"] = [float(v) for v in value.split(",") if v.strip()]
+                kw["thresholds"] = [float(v) for v in value.split(",")]  # float("") raises
             elif key in ("bins", "subsets", "seed", "ensemble", "max_workers"):
                 kw[{"bins": "n_bins", "subsets": "n_subsets"}.get(key, key)] = int(value)
             elif key == "drop_session_gaps":  # .index raises for a word that is neither
@@ -424,8 +431,8 @@ def _intervals_tables(seq, cfg):
 
 
 def _pdf_tables(seq, cfg):
-    pdf = pdf_estimate(seq, mode=cfg.binning, n_bins=cfg.n_bins)
-    yield Table("scaled_pdf", ("x", "y"), scale_pdf(pdf, seq.mean_interval))
+    yield Table("scaled_pdf", ("x", "y"),
+                pdf_estimate(seq.intervals, seq.mean_interval, mode=cfg.binning, n_bins=cfg.n_bins))
 
 
 _MEAN_HEADER = ("tau0_scaled", "mean_scaled", "stderr")
@@ -501,8 +508,8 @@ def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
     vol = normalize_volatility(log_returns(prices))
     if cfg.session_open is None:
         return vol, None
-    calendar = SessionCalendar(cfg.session_open, cfg.session_close)
-    slots, session_ids = session_slots(prices.timestamps[:-1], calendar, prices.sampling_interval)
+    slots, session_ids = session_slots(prices.timestamps[:-1], cfg.session_open, cfg.session_close,
+                                       prices.sampling_interval)
     pattern = build_intraday_pattern(vol, slots, session_ids)
     return intraday_detrend(vol, pattern, slots), session_ids if cfg.drop_session_gaps else None
 

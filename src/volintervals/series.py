@@ -17,11 +17,11 @@ __all__ = [
     "PriceSeries",
     "ReturnSeries",
     "VolatilitySeries",
-    "SessionCalendar",
     "log_returns",
     "normalize_volatility",
     "build_intraday_pattern",
     "intraday_detrend",
+    "session_bounds",
     "session_slots",
     "gap_report",
 ]
@@ -86,23 +86,13 @@ class VolatilitySeries:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class SessionCalendar:
-    """Trading session [open, close), "HH:MM" wall-clock strings."""
-
-    open_time: str = "09:00"
-    close_time: str = "15:00"
-
-    def __post_init__(self):
-        if self.open_minute() >= self.close_minute():
-            raise ValueError(f"session_open {self.open_time} is not before "
-                             f"session_close {self.close_time}")
-
-    def open_minute(self) -> int:
-        return _hhmm_minute(self.open_time, "session_open")
-
-    def close_minute(self) -> int:
-        return _hhmm_minute(self.close_time, "session_close")
+def session_bounds(session_open: str, session_close: str) -> tuple[int, int]:
+    """Minutes after midnight of a trading session [open, close) given as
+    "HH:MM" wall-clock strings."""
+    bounds = _hhmm_minute(session_open, "session_open"), _hhmm_minute(session_close, "session_close")
+    if bounds[0] >= bounds[1]:
+        raise ValueError(f"session_open {session_open} is not before session_close {session_close}")
+    return bounds
 
 
 def _hhmm_minute(text: str, name: str) -> int:
@@ -133,19 +123,22 @@ def normalize_volatility(returns: ReturnSeries) -> VolatilitySeries:
     return VolatilitySeries(values=np.abs(g) / np.sqrt(var))
 
 
-def session_slots(timestamps, calendar: SessionCalendar, sampling_interval) -> tuple[np.ndarray, np.ndarray]:
+def session_slots(timestamps, session_open: str, session_close: str,
+                  sampling_interval) -> tuple[np.ndarray, np.ndarray]:
     """Map timestamps to (slot, session_id) arrays.
 
-    Slot is the number of whole sampling intervals elapsed since session
-    open; session id is the calendar day. The session is [open, close):
-    samples before the open or at or after the close are rejected.
+    Slot is the number of whole sampling intervals elapsed since the
+    session_open; session id is the calendar day. The session is
+    [open, close), both "HH:MM": samples before the open or at or after the
+    close are rejected.
     """
+    open_min, close_min = session_bounds(session_open, session_close)
     ts = np.asarray(timestamps).astype("datetime64[s]")
     days = ts.astype("datetime64[D]")
-    secs = (ts - days).astype(np.int64) - 60 * calendar.open_minute()  # since the open
-    length = 60 * (calendar.close_minute() - calendar.open_minute())
-    for outside, where in ((secs < 0, f"before session open {calendar.open_time}"),
-                           (secs >= length, f"at or after session close {calendar.close_time}")):
+    secs = (ts - days).astype(np.int64) - 60 * open_min  # since the open
+    length = 60 * (close_min - open_min)
+    for outside, where in ((secs < 0, f"before session open {session_open}"),
+                           (secs >= length, f"at or after session close {session_close}")):
         if np.any(outside):
             raise ValueError(f"sample at index {int(np.flatnonzero(outside)[0])} falls {where}")
     step = max(int(np.timedelta64(sampling_interval, "s").astype(np.int64)), 1)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from volintervals import (
     collapse_distance,
     pdf_estimate,
     poisson_deviation,
-    scale_pdf,
 )
 from volintervals.distributions import _exponential_cdf, _ks_distance, continuity_corrected_sample
 
@@ -25,68 +25,90 @@ def make_seq(intervals, q=1.0):
     return IntervalSequence(threshold_q=q, intervals=np.asarray(intervals))
 
 
+def bin_edges(intervals, mode, n_bins):
+    """The edges pdf_estimate bins `intervals` with, rebuilt from its rule."""
+    lo, hi = float(np.min(intervals)), float(np.max(intervals))
+    if lo == hi:
+        return np.array([lo - 0.5, lo + 0.5])
+    return (np.geomspace if mode == "logarithmic" else np.linspace)(lo, hi, n_bins + 1)
+
+
 class TestPdfEstimate:
     def test_counting(self):
         # edges 1, 1.5, .., 4: the last bin holds its right edge
-        pdf = pdf_estimate(make_seq([1, 1, 2, 4]), mode="linear", n_bins=6)
-        assert np.array_equal(pdf.bin_edges, [1, 1.5, 2, 2.5, 3, 3.5, 4])
-        assert np.allclose(pdf.densities, [1, 0, 0.5, 0, 0, 0.5])
+        x, y = pdf_estimate([1, 1, 2, 4], 1.0, mode="linear", n_bins=6)
+        assert np.array_equal(x, [1.25, 1.75, 2.25, 2.75, 3.25, 3.75])
+        assert np.allclose(y, [1, 0, 0.5, 0, 0, 0.5])
 
     @pytest.mark.parametrize("mode", ["linear", "logarithmic"])
     def test_unit_integral(self, mode):
         rng = np.random.default_rng(0)
-        seq = make_seq(rng.geometric(0.2, size=5000))
-        pdf = pdf_estimate(seq, mode=mode, n_bins=12)
-        assert np.sum(pdf.densities * np.diff(pdf.bin_edges)) == pytest.approx(1.0, abs=1e-9)
+        iv = rng.geometric(0.2, size=5000)
+        _, y = pdf_estimate(iv, 1.0, mode=mode, n_bins=12)
+        assert np.sum(y * np.diff(bin_edges(iv, mode, 12))) == pytest.approx(1.0, abs=1e-9)
 
     def test_identical_intervals_log_mode_falls_back(self):
         with pytest.warns(UserWarning):
-            pdf = pdf_estimate(make_seq([3, 3, 3]), mode="logarithmic")
-        assert pdf.densities.size == 1
-        assert np.sum(pdf.densities * np.diff(pdf.bin_edges)) == pytest.approx(1.0)
+            x, y = pdf_estimate([3, 3, 3], 1.0, mode="logarithmic")
+        # one linear bin [2.5, 3.5]: an arithmetic centre, where a geometric one is below 3
+        assert x.tolist() == [3.0] and y.tolist() == [1.0]
 
     def test_log_binned_geometric_matches_analytic_pmf(self):
         p = 0.0455
         rng = np.random.default_rng(10)
-        seq = make_seq(rng.geometric(p, size=10**5))
-        pdf = pdf_estimate(seq, mode="logarithmic", n_bins=25)
-        edges = pdf.bin_edges
-        counts, _ = np.histogram(seq.intervals, pdf.bin_edges)
-        for i in range(pdf.densities.size):
+        iv = rng.geometric(p, size=10**5)
+        x, y = pdf_estimate(iv, 1.0, mode="logarithmic", n_bins=25)
+        edges = bin_edges(iv, "logarithmic", 25)
+        assert np.array_equal(x, np.sqrt(edges[:-1] * edges[1:]))
+        counts, _ = np.histogram(iv, edges)
+        for i in range(y.size):
             if counts[i] < 100:
                 continue
             # analytic probability mass of integers inside the bin
             lo = int(np.ceil(edges[i]))
             hi = int(np.floor(np.nextafter(edges[i + 1], 0)))
-            if i == pdf.densities.size - 1:
+            if i == y.size - 1:
                 hi = int(np.floor(edges[i + 1]))
             ks = np.arange(lo, hi + 1)
             mass = (p * (1 - p) ** (ks - 1)).sum()
-            est = pdf.densities[i] * (edges[i + 1] - edges[i])
+            est = y[i] * (edges[i + 1] - edges[i])
             assert est == pytest.approx(mass, rel=0.05)
+
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=300),
+           st.floats(min_value=1e-3, max_value=1e6), st.sampled_from(["linear", "logarithmic"]),
+           st.integers(2, 40))
+    def test_increasing_centres_and_unit_integral(self, intervals, mean, mode, n_bins):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x, y = pdf_estimate(intervals, mean, mode=mode, n_bins=n_bins)
+        equal = min(intervals) == max(intervals)
+        assert len(caught) == (mode == "logarithmic" and equal)
+        assert np.all(np.diff(x) > 0)
+        edges = bin_edges(intervals, mode, n_bins)
+        assert x.size == y.size == edges.size - 1
+        assert np.sum(y * np.diff(edges) / mean) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestScalePdf:
     def test_direct_application(self):
-        pdf = pdf_estimate(make_seq([1, 1, 2, 4]), mode="linear", n_bins=3)
-        x, y = scale_pdf(pdf, 2.0)
+        x, y = pdf_estimate([1, 1, 2, 4], 2.0, mode="linear", n_bins=3)
         # density 0.25 over [2, 3) maps to (2.5 / 2, 0.25 * 2)
-        assert np.allclose(pdf.densities, [0.5, 0.25, 0.25])
         assert np.allclose(x, [0.75, 1.25, 1.75])
         assert np.allclose(y, [1.0, 0.5, 0.5])
 
     def test_unit_mean_is_identity(self):
-        pdf = pdf_estimate(make_seq([1, 2, 3, 4]), mode="linear", n_bins=3)
-        x, y = scale_pdf(pdf, 1.0)
-        assert np.allclose(x, pdf.bin_centers())
-        assert np.allclose(y, pdf.densities)
+        # a unit mean leaves the bin centres and densities as they are
+        x, y = pdf_estimate([1, 2, 3, 4], 1.0, mode="linear", n_bins=3)
+        assert x.tolist() == [1.5, 2.5, 3.5]
+        assert np.allclose(y, [0.25, 0.25, 0.5])
+        x3, y3 = pdf_estimate([1, 2, 3, 4], 3.0, mode="linear", n_bins=3)
+        assert np.allclose(x3 * 3, x) and np.allclose(y3 / 3, y)
 
     def test_unit_integral_in_scaled_coordinates(self):
         rng = np.random.default_rng(2)
         seq = make_seq(rng.geometric(0.1, size=20000))
-        pdf = pdf_estimate(seq, mode="logarithmic", n_bins=20)
-        _, y = scale_pdf(pdf, seq.mean_interval)
-        widths = np.diff(pdf.bin_edges) / seq.mean_interval
+        _, y = pdf_estimate(seq.intervals, seq.mean_interval, mode="logarithmic", n_bins=20)
+        widths = np.diff(bin_edges(seq.intervals, "logarithmic", 20)) / seq.mean_interval
         assert np.sum(y * widths) == pytest.approx(1.0, abs=1e-9)
 
     def test_exponential_sample_matches_exp_curve(self):

@@ -18,7 +18,6 @@ from volintervals import (
     extract_intervals,
     intraday_detrend,
     pdf_estimate,
-    scale_pdf,
 )
 
 DAY = np.timedelta64(1, "D")
@@ -27,12 +26,13 @@ SEQ = IntervalSequence(1.0, [1, 2, 3])
 
 GUARDS = {
     "clusters_empty": (lambda: clusters([]), ValueError, "label sequence must be non-empty"),
-    "pdf_empty": (lambda: pdf_estimate([]), ValueError,
+    "pdf_empty": (lambda: pdf_estimate([], 1.0), ValueError,
                   "cannot estimate a PDF from an empty sequence"),
-    "pdf_mode": (lambda: pdf_estimate(SEQ, mode="cubic"), ValueError,
+    "pdf_mode": (lambda: pdf_estimate(SEQ.intervals, 2.0, mode="cubic"), ValueError,
                  "unknown binning mode 'cubic'"),
-    "pdf_one_bin": (lambda: pdf_estimate(SEQ, n_bins=1), ValueError, "need at least 2 bins"),
-    "scale_pdf_mean": (lambda: scale_pdf(pdf_estimate(SEQ), 0.0), ValueError,
+    "pdf_one_bin": (lambda: pdf_estimate(SEQ.intervals, 2.0, n_bins=1), ValueError,
+                    "need at least 2 bins"),
+    "scale_pdf_mean": (lambda: pdf_estimate(SEQ.intervals, 0.0), ValueError,
                        "mean_interval must be positive"),
     "sequence_empty": (lambda: IntervalSequence(1.0, []), ValueError,
                        "interval sequence must be non-empty"),

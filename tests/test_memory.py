@@ -8,7 +8,6 @@ from volintervals import (
     conditional_pdfs,
     extract_intervals,
     pdf_estimate,
-    scale_pdf,
     shuffle_intervals,
 )
 from volintervals.memory import conditional_blocks
@@ -150,6 +149,6 @@ def test_conditional_pdfs_match_per_block_oracle(correlated_vol, mode, n_bins):
     got = conditional_pdfs(seq, n_subsets=5, mode=mode, n_bins=n_bins)
     assert len(got) == len(succ)
     for block, (x, y) in zip(succ, got):
-        want_x, want_y = scale_pdf(pdf_estimate(block, mode=mode, n_bins=n_bins), seq.mean_interval)
+        want_x, want_y = pdf_estimate(block, seq.mean_interval, mode=mode, n_bins=n_bins)
         assert np.array_equal(x, want_x)
         assert np.array_equal(y, want_y)

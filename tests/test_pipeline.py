@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from volintervals import (
     AnalysisConfig,
     PriceSeries,
-    SessionCalendar,
     VolatilitySeries,
     build_intraday_pattern,
     cluster_survival,
@@ -541,6 +540,15 @@ INVALID_CONFIGS = {
     "open_not_hhmm": ({"session_open": "9am", "session_close": "15:00"}, "session_open"),
     "close_not_hhmm": ({"session_open": "09:00", "session_close": "25:00"}, "session_close"),
     "open_after_close": ({"session_open": "15:00", "session_close": "09:00"}, "session_open"),
+    # a library caller's wrong type was run rounded, or failed later with a TypeError
+    "float_subsets": ({"n_subsets": 2.5}, "n_subsets must be an integer, got 2.5"),
+    "float_bins": ({"n_bins": 2.5}, "n_bins must be an integer"),
+    "float_ensemble": ({"ensemble": 2.5}, "ensemble must be an integer"),
+    "float_seed": ({"seed": 1.5}, "seed must be an integer"),
+    "string_workers": ({"max_workers": "2"}, "max_workers must be an integer, got '2'"),
+    # a non-empty string is true, so "no" dropped the session gaps
+    "string_drop_session_gaps": ({"session_open": "09:00", "session_close": "15:00",
+                                  "drop_session_gaps": "no"}, "drop_session_gaps must be True or False"),
 }
 
 
@@ -581,6 +589,12 @@ class TestRunPipeline:
                 AnalysisConfig(**{"inputs": ["x.csv"], "thresholds": [1.0], **override})
         # the error says what is wrong; a warning about time zones would mislead
         assert not [w for w in caught if "representation of timezones" in str(w.message)]
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        keys = ("n_bins", "n_subsets", "seed", "ensemble", "max_workers")
+        cfg = AnalysisConfig(inputs=["x.csv"], **{k: np.int64(3) for k in keys})
+        assert all(type(getattr(cfg, k)) is int and getattr(cfg, k) == 3 for k in keys)
+        assert cfg == AnalysisConfig(inputs=["x.csv"], **{k: 3 for k in keys})
 
     def test_json_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
@@ -671,7 +685,7 @@ class TestRunPipeline:
         assert kept["detrended"] is True
         prices = ingest_csv(csv)
         vol = normalize_volatility(log_returns(prices))
-        slots, sessions = session_slots(prices.timestamps[:-1], SessionCalendar("09:00", "15:00"),
+        slots, sessions = session_slots(prices.timestamps[:-1], "09:00", "15:00",
                                         prices.sampling_interval)
         detrended = intraday_detrend(vol, build_intraday_pattern(vol, slots, sessions), slots)
         for q in ("1", "2"):
@@ -1038,7 +1052,9 @@ class TestConfigFile:
             load_config(f)
 
     @pytest.mark.parametrize("key, value", [("bins", "x"), ("q", "1,abc"), ("seed", "1.5"),
-                                            ("drop_session_gaps", "ture")])
+                                            ("drop_session_gaps", "ture"),
+                                            # a blank item was dropped, running the others
+                                            ("q", "1,,2"), ("q", "1,")])
     def test_bad_value_names_line_and_key(self, tmp_path, key, value):
         f = tmp_path / "cfg"
         f.write_text(f"input = a.csv\nq = 1\n{key} = {value}\n")

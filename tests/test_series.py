@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from volintervals import (
     PriceSeries,
     ReturnSeries,
-    SessionCalendar,
     VolatilitySeries,
     build_intraday_pattern,
     extract_intervals,
     intraday_detrend,
     log_returns,
     normalize_volatility,
+    session_bounds,
     session_slots,
 )
 from volintervals.series import gap_report
@@ -157,10 +157,9 @@ class TestDetrend:
 
 
 def test_session_slots():
-    cal = SessionCalendar("09:00", "15:00")
     ts = np.array(["2000-01-03T09:00", "2000-01-03T09:01", "2000-01-04T09:00"],
                   dtype="datetime64[s]")
-    slots, sessions = session_slots(ts, cal, np.timedelta64(60, "s"))
+    slots, sessions = session_slots(ts, "09:00", "15:00", np.timedelta64(60, "s"))
     assert slots.tolist() == [0, 1, 0]
     assert sessions[0] == sessions[1] != sessions[2]
 
@@ -171,28 +170,26 @@ def bars(start, n, step_s=60):
 
 def test_session_slots_sub_minute_step():
     # 200 one-second samples from the open are 200 slots, not 4 whole minutes
-    cal = SessionCalendar("09:00", "15:00")
-    slots, _ = session_slots(bars("2000-01-03T09:00", 200, 1), cal, np.timedelta64(1, "s"))
+    slots, _ = session_slots(bars("2000-01-03T09:00", 200, 1), "09:00", "15:00", np.timedelta64(1, "s"))
     assert slots.tolist() == list(range(200))
 
 
 @pytest.mark.parametrize("step_min", [1, 2, 5])
 def test_session_slots_whole_minute_steps_ignore_seconds(step_min):
     # floor((60a + s) / 60k) == floor(a / k) for 0 <= s < 60
-    cal = SessionCalendar("09:30", "15:00")
     ts = bars("2000-01-03T09:30", 300) + np.arange(300) % 60
-    slots, _ = session_slots(ts, cal, np.timedelta64(60 * step_min, "s"))
+    slots, _ = session_slots(ts, "09:30", "15:00", np.timedelta64(60 * step_min, "s"))
     assert slots.tolist() == [a // step_min for a in range(300)]
 
 
 def test_session_is_half_open():
-    cal, step = SessionCalendar("09:00", "15:00"), np.timedelta64(60, "s")
-    slots, _ = session_slots(bars("2000-01-03T09:00", 360), cal, step)
+    bounds, step = ("09:00", "15:00"), np.timedelta64(60, "s")
+    slots, _ = session_slots(bars("2000-01-03T09:00", 360), *bounds, step)
     assert slots.max() == 359
     with pytest.raises(ValueError, match="index 360 .*close 15:00"):
-        session_slots(bars("2000-01-03T09:00", 361), cal, step)
+        session_slots(bars("2000-01-03T09:00", 361), *bounds, step)
     with pytest.raises(ValueError, match="index 0 .*open 09:00"):
-        session_slots(bars("2000-01-03T08:59", 3), cal, step)
+        session_slots(bars("2000-01-03T08:59", 3), *bounds, step)
 
 
 @pytest.mark.parametrize("open_time, close_time, message", [
@@ -205,7 +202,15 @@ def test_session_is_half_open():
 ])
 def test_session_calendar_rejects_bad_bounds(open_time, close_time, message):
     with pytest.raises(ValueError, match=message):
-        SessionCalendar(open_time, close_time)
+        session_bounds(open_time, close_time)
+    # session_slots checks the bounds before it reads a timestamp
+    with pytest.raises(ValueError, match=message):
+        session_slots(bars("2000-01-03T09:00", 3), open_time, close_time, np.timedelta64(60, "s"))
+
+
+def test_session_bounds_in_minutes():
+    assert session_bounds("09:00", "15:00") == (540, 900)
+    assert session_bounds("0:00", "23:59") == (0, 1439)
 
 
 def test_gap_report():
