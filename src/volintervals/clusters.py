@@ -35,12 +35,12 @@ def clusters(labels) -> dict[str, np.ndarray]:
     lab = np.asarray(labels, dtype=bool)
     if lab.size == 0:
         raise ValueError("label sequence must be non-empty")
-    # boundaries where the label flips
-    starts = np.flatnonzero(np.diff(lab)) + 1
-    edges = np.concatenate(([0], starts, [lab.size]))
-    sizes = np.diff(edges)
-    first = lab[edges[:-1]]
-    return {"above": sizes[first], "below": sizes[~first]}
+    runs = {}
+    for side, on in (("above", lab), ("below", ~lab)):
+        # padded with False, the side's labels flip on at each run's start and off after its end
+        flips = np.flatnonzero(np.diff(on, prepend=False, append=False))
+        runs[side] = flips[1::2] - flips[::2]
+    return runs
 
 
 def cluster_survival(runs: dict[str, np.ndarray], side: str = "above") -> np.ndarray:

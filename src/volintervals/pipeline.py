@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import operator
 import os
 import re
@@ -78,10 +79,15 @@ class AnalysisConfig:
     max_workers: int = 4
 
     def __post_init__(self):
+        # a string's characters would be read as files
+        if isinstance(self.inputs, (str, os.PathLike)) or not hasattr(self.inputs, "__iter__"):
+            raise ConfigError(f"inputs must be a list of paths, got {self.inputs!r}")
         if not self.inputs:
             raise ConfigError("no input files configured")
         first: dict = {}  # file stem -> the input that has it; out/{stem}/ holds its outputs
         for p in self.inputs:
+            if not isinstance(p, (str, os.PathLike)):
+                raise ConfigError(f"inputs must be paths, got {p!r}")
             if not str(p).strip():  # a blank name would be read as "."
                 raise ConfigError(f"inputs must not be blank, got {p!r}")
             # out/{stem} would be out itself, its parent, or the run's report
@@ -92,10 +98,15 @@ class AnalysisConfig:
                 raise ConfigError(f"inputs {first[stem]} and {p} share the file stem {stem!r}, "
                                   "which names their output directory")
             first[stem] = p
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
         if not str(self.out_dir).strip():
             raise ConfigError(f"out_dir must not be blank, got {self.out_dir!r}")
-        if not self.thresholds or not all(math.isfinite(q) and q > 0 for q in self.thresholds):
-            raise ConfigError(f"thresholds must be finite, positive and non-empty, got {self.thresholds}")
+        if (not hasattr(self.thresholds, "__iter__") or not self.thresholds
+                or not all(isinstance(q, numbers.Real) and not isinstance(q, bool) and math.isfinite(q)
+                           and q > 0 for q in self.thresholds)):
+            raise ConfigError(f"thresholds must be a non-empty list of finite, positive numbers, "
+                              f"got {self.thresholds!r}")
         self.thresholds = sorted({float(q) for q in self.thresholds})
         for a, b in zip(self.thresholds, self.thresholds[1:]):  # q{q:g} names each one's outputs
             if f"{a:g}" == f"{b:g}":
@@ -104,12 +115,17 @@ class AnalysisConfig:
             raise ConfigError(f"binning must be 'linear' or 'logarithmic', got {self.binning!r}")
         for key, least in (("n_bins", 2), ("n_subsets", 1), ("seed", 0), ("ensemble", 1),
                            ("max_workers", 1)):
-            try:  # numpy integers pass, floats and strings do not
+            try:  # numpy integers pass; floats, strings and bools do not
+                if isinstance(getattr(self, key), bool):
+                    raise TypeError
                 setattr(self, key, operator.index(getattr(self, key)))
             except TypeError:
                 raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        for key in ("split_date", "session_open", "session_close"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ConfigError(f"{key} must be a string, got {getattr(self, key)!r}")
         if self.split_date is not None:
             parse_time(self.split_date, "split_date")
         if (self.session_open is None) != (self.session_close is None):
@@ -394,16 +410,47 @@ def _fmt(v) -> str:
     return f"{v:.10g}"
 
 
+# rows per block of an integer column written from its array: one block's
+# byte matrix is the transient memory, so the column's text never exists whole
+_TSV_BLOCK_ROWS = 1 << 12
+
+
+def _int_rows(lead: str, col: np.ndarray) -> str:
+    """The text lead + str(v) + "\\n" for each v of a non-negative integer array."""
+    pre = np.frombuffer(lead.encode(), np.uint8)
+    mat = np.empty((col.size, pre.size + len(str(col.max())) + 1), np.uint8)
+    keep = np.ones(mat.shape, bool)  # False at each number's leading zeros
+    mat[:, :pre.size], mat[:, -1] = pre, ord("\n")
+    for j in range(mat.shape[1] - 2, pre.size - 1, -1):  # digits, units first
+        q = col // 10
+        mat[:, j] = col - q * 10 + ord("0")
+        if j < mat.shape[1] - 2:  # the units digit stays, as 0 prints "0"
+            np.greater(col, 0, out=keep[:, j])
+        col = q
+    return mat[keep].tobytes().decode()
+
+
 def _write_tsv(path, header, columns, comment: str | None = None) -> None:
-    # numeric columns come as arrays, formatted lazily so only one row of
-    # strings is alive at a time: floats as %.10g, integers with str (the
-    # same digits below 10^10, at half the cost); other columns are strings
-    cells = [map(str if c.dtype.kind in "iu" else "%.10g".__mod__, c.tolist())
-             if isinstance(c, np.ndarray) else c for c in columns]
+    # a column is a numeric array, a sequence of strings, or a string: one cell
+    # on every row. A non-negative integer array behind such cells only, as in
+    # intervals.tsv, is written from the array in blocks of _TSV_BLOCK_ROWS rows.
+    # Other tables go row by row, formatted lazily so only one row of strings is
+    # alive at a time: floats as %.10g, integers with str (the same digits below
+    # 10^10, at half the cost)
+    *lead, last = columns
     with _atomic(path) as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write("\t".join(header) + "\n")
+        if (all(isinstance(c, str) for c in lead) and isinstance(last, np.ndarray)
+                and last.dtype.kind in "iu" and not (last < 0).any()):
+            prefix = "".join(c + "\t" for c in lead)
+            for i in range(0, last.size, _TSV_BLOCK_ROWS):
+                fh.write(_int_rows(prefix, last[i:i + _TSV_BLOCK_ROWS]))
+            return
+        cells = [[c] * len(last) if isinstance(c, str)
+                 else map(str if c.dtype.kind in "iu" else "%.10g".__mod__, c.tolist())
+                 if isinstance(c, np.ndarray) else c for c in columns]
         fh.writelines("\t".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
@@ -421,13 +468,12 @@ class Table(NamedTuple):
 
     stem: str
     header: tuple[str, ...]
-    columns: tuple  # numeric np.ndarrays, or sequences of strings
+    columns: tuple  # numeric np.ndarrays, sequences of strings, or a string on every row
     suffix: str = ""
 
 
 def _intervals_tables(seq, cfg):
-    yield Table("intervals", ("q", "interval"),
-                ([_fmt(seq.threshold_q)] * len(seq), seq.intervals))
+    yield Table("intervals", ("q", "interval"), (_fmt(seq.threshold_q), seq.intervals))
 
 
 def _pdf_tables(seq, cfg):

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from volintervals import (
@@ -49,18 +51,16 @@ class TestClusters:
         assert np.all(runs["below"] == 1)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=200))
+    @example([True])
+    @example([False])
+    @example([True] * 7)
+    @example([False] * 7)
     def test_run_decomposition_is_a_bijection(self, labels):
+        # each side's run sizes, in order, as itertools.groupby reads them
         runs = clusters(labels)
-        assert runs["above"].sum() + runs["below"].sum() == len(labels)
-        # rebuild the sequence from the runs, in order
-        sizes = []
-        lab = np.asarray(labels)
-        starts = np.flatnonzero(np.diff(lab)) + 1
-        edges = np.concatenate(([0], starts, [lab.size]))
-        rebuilt = np.concatenate([
-            np.full(edges[i + 1] - edges[i], lab[edges[i]]) for i in range(edges.size - 1)
-        ])
-        assert np.array_equal(rebuilt, lab)
+        groups = [(label, len(list(g))) for label, g in itertools.groupby(labels)]
+        assert runs["above"].tolist() == [n for label, n in groups if label]
+        assert runs["below"].tolist() == [n for label, n in groups if not label]
 
     def test_fair_coin_runs_are_geometric(self):
         rng = np.random.default_rng(1)

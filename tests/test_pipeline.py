@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from volintervals import (
     AnalysisConfig,
+    IntervalSequence,
     PriceSeries,
     VolatilitySeries,
     build_intraday_pattern,
@@ -41,6 +42,7 @@ from volintervals.cli import main
 from volintervals.pipeline import (
     ConfigError,
     IngestError,
+    STAGES,
     _analyze_one,
     _envelope,
     _read_plain,
@@ -49,6 +51,7 @@ from volintervals.pipeline import (
     _usable_cpus,
     _volatility,
     _write_json,
+    _write_tsv,
     load_config,
     parse_time,
 )
@@ -316,6 +319,37 @@ def test_emit_fails_cleanly_or_round_trips_bit_for_bit(tmp_path_factory, series)
     assert back.prices.view(np.int64).tolist() == series.prices.view(np.int64).tolist()
 
 
+# every power of ten up to 10**18 and its predecessor: where an integer gains a digit
+DIGIT_EDGES = [v for k in range(19) for v in (10**k - 1, 10**k) if v > 0]
+BLOCK_ROWS = volintervals.pipeline._TSV_BLOCK_ROWS
+
+
+@pytest.mark.long_search
+@given(q=st.floats(min_value=0, exclude_min=True, allow_infinity=False).map(lambda x: float(f"{x:g}")),
+       n=st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS]),
+       edges=st.lists(st.sampled_from(DIGIT_EDGES), min_size=1, max_size=40),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_intervals_tsv_is_the_per_row_text(tmp_path_factory, q, n, edges, seed):
+    rng = np.random.default_rng(seed)
+    # every digit count from 1 to 19, and the digit edges at random rows
+    iv = np.maximum(rng.integers(0, 2**63 - 1, n, dtype=np.int64) >> rng.integers(0, 63, n), 1)
+    iv[rng.integers(0, n, len(edges))] = edges
+    (table,) = STAGES["intervals"](IntervalSequence(q, iv), None)
+    f = tmp_path_factory.mktemp("tsv") / "intervals.tsv"
+    _write_tsv(f, table.header, table.columns)
+    assert f.read_text() == "q\tinterval\n" + "".join(f"{q:.10g}\t{v}\n" for v in iv.tolist())
+
+
+@pytest.mark.parametrize("column", [
+    np.array([0, *DIGIT_EDGES, 2**63 - 1]),
+    np.array([0, 2**64 - 1], dtype=np.uint64),
+    np.array([3, -(2**63), -1, 0]),  # negative: written row by row
+], ids=["int64", "uint64", "negative"])
+def test_integer_column_is_written_as_str(tmp_path, column):
+    _write_tsv(tmp_path / "t.tsv", ("a", "b", "n"), ("x", "1.5", column))
+    assert (tmp_path / "t.tsv").read_text() == "a\tb\tn\n" + "".join(f"x\t1.5\t{v}\n" for v in column.tolist())
+
+
 def _ingest_outcome(read, path):
     """What a reader makes of a file: the series (prices as bits) or the error, and the warnings."""
     with warnings.catch_warnings(record=True) as caught:
@@ -549,6 +583,20 @@ INVALID_CONFIGS = {
     # a non-empty string is true, so "no" dropped the session gaps
     "string_drop_session_gaps": ({"session_open": "09:00", "session_close": "15:00",
                                   "drop_session_gaps": "no"}, "drop_session_gaps must be True or False"),
+    # a library caller's wrong type ended in a TypeError or AttributeError, was read
+    # character by character, or was accepted and failed later
+    "string_threshold": ({"thresholds": ["1"]}, r"thresholds must be a .* numbers, got \['1'\]"),
+    "integer_session_bounds": ({"session_open": 900, "session_close": 1500},
+                               "session_open must be a string, got 900"),
+    "integer_split_date": ({"split_date": 19900101}, "split_date must be a string, got 19900101"),
+    "string_inputs": ({"inputs": "ab.csv"}, "inputs must be a list of paths, got 'ab.csv'"),
+    "integer_inputs": ({"inputs": 5}, "inputs must be a list of paths, got 5"),
+    "integer_in_inputs": ({"inputs": ["a.csv", 5]}, "inputs must be paths, got 5"),
+    "integer_thresholds": ({"thresholds": 1}, "thresholds must be a .* numbers, got 1"),
+    # a bool is an int, so True ran as q = 1 or as 1 seed
+    "bool_threshold": ({"thresholds": [True]}, r"thresholds must be a .* numbers, got \[True\]"),
+    "bool_ensemble": ({"ensemble": True}, "ensemble must be an integer, got True"),
+    "integer_out_dir": ({"out_dir": 5}, "out_dir must be a path, got 5"),
 }
 
 
