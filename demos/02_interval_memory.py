@@ -10,6 +10,7 @@ import numpy as np
 
 from volintervals import (
     VolatilitySeries,
+    conditional_blocks,
     conditional_mean_curve,
     correlated_gaussian,
     extract_intervals,
@@ -19,8 +20,9 @@ from volintervals import (
 vol = VolatilitySeries(np.abs(correlated_gaussian(2**20, 0.3, 1)))
 seq = extract_intervals(vol, 1.0)
 
-centers, means, _ = conditional_mean_curve(seq, n_subsets=8)
-_, shuffled_means, _ = conditional_mean_curve(shuffle_intervals(seq, seed=0), n_subsets=8)
+centers, means, _ = conditional_mean_curve(conditional_blocks(seq, 8), seq.mean_interval)
+shuffled = conditional_blocks(shuffle_intervals(seq, seed=0), 8)
+_, shuffled_means, _ = conditional_mean_curve(shuffled, seq.mean_interval)
 
 print(f"q=1.0, {len(seq)} intervals, <tau> = {seq.mean_interval:.2f}\n")
 print("octile   tau0/<tau>   <tau|tau0>/<tau>   shuffled")

@@ -11,15 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import pdf_estimate
 from .intervals import IntervalSequence
 
 __all__ = [
+    "min_intervals",
     "conditional_blocks",
-    "conditional_pdfs",
     "conditional_mean_curve",
     "shuffle_intervals",
 ]
+
+
+def min_intervals(n_subsets: int) -> int:
+    """Fewest intervals that `conditional_blocks` splits into n_subsets blocks:
+    two successors per block, so each has a standard error."""
+    return 2 * n_subsets + 1
 
 
 def conditional_blocks(seq: IntervalSequence, n_subsets: int = 8):
@@ -30,35 +35,24 @@ def conditional_blocks(seq: IntervalSequence, n_subsets: int = 8):
     boundaries are broken by temporal index (stable sort). Block sizes
     differ by at most 1.
     """
-    iv = seq.intervals
-    if iv.size < 2 * n_subsets:
-        raise ValueError(f"need at least {2 * n_subsets} intervals for {n_subsets} subsets, have {iv.size}")
+    iv, least = seq.intervals, min_intervals(n_subsets)
+    if iv.size < least:
+        raise ValueError(f"need at least {least} intervals for {n_subsets} subsets, have {iv.size}")
     cond, succ = iv[:-1], iv[1:]
     order = np.argsort(cond, kind="stable")
     idx_blocks = np.array_split(order, n_subsets)
     return [cond[b] for b in idx_blocks], [succ[b] for b in idx_blocks]
 
 
-def conditional_pdfs(seq: IntervalSequence, n_subsets: int = 8,
-                     mode: str = "logarithmic", n_bins: int = 20) -> list[tuple]:
-    """Scaled PDF (x, y) of the successors in each value block, block 1 first.
-
-    Scaling uses the full-sequence mean interval, so the conditional
-    curves of different blocks are directly comparable.
-    """
-    _, succ = conditional_blocks(seq, n_subsets)
-    return [pdf_estimate(s, seq.mean_interval, mode=mode, n_bins=n_bins) for s in succ]
-
-
-def conditional_mean_curve(seq: IntervalSequence, n_subsets: int = 8) -> tuple:
+def conditional_mean_curve(blocks, mean_interval: float) -> tuple:
     """Mean successor interval vs predecessor size: (centers, means, stderr),
-    per block the mean predecessor, mean successor and its standard error, / <tau>."""
-    cond, succ = conditional_blocks(seq, n_subsets)
-    mean = seq.mean_interval
-    centers = np.array([c.mean() for c in cond]) / mean
+    per block of `blocks` = conditional_blocks(...) the mean predecessor, mean
+    successor and its standard error, / mean_interval."""
+    cond, succ = blocks
+    centers = np.array([c.mean() for c in cond]) / mean_interval
     sums = np.array([s.sum() for s in succ], dtype=np.int64)  # exact, as integers
-    means = sums / np.array([s.size for s in succ]) / mean
-    stderr = np.array([s.std(ddof=1) / np.sqrt(s.size) if s.size > 1 else np.inf for s in succ]) / mean
+    means = sums / np.array([s.size for s in succ]) / mean_interval
+    stderr = np.array([s.std(ddof=1) / np.sqrt(s.size) for s in succ]) / mean_interval
     return centers, means, stderr
 
 

@@ -23,10 +23,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import memory
 from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
 from .distributions import collapse_distance, pdf_estimate, poisson_deviation
 from .intervals import extract_intervals
-from .memory import conditional_mean_curve, conditional_pdfs, shuffle_intervals
+from .memory import conditional_mean_curve, shuffle_intervals
 from .series import (
     PriceSeries,
     build_intraday_pattern,
@@ -484,17 +485,19 @@ def _pdf_tables(seq, cfg):
 _MEAN_HEADER = ("tau0_scaled", "mean_scaled", "stderr")
 
 
+# the conditional PDFs are scaled by the whole sequence's mean, as the
+# unconditional one, so the curves of different blocks are comparable
 def _conditional_tables(seq, cfg):
-    pdfs = conditional_pdfs(seq, n_subsets=cfg.n_subsets, mode=cfg.binning, n_bins=cfg.n_bins)
-    for k, scaled in enumerate(pdfs, start=1):
-        yield Table("conditional_pdf", ("x", "y"), scaled, f"_k{k}")
-    curve = conditional_mean_curve(seq, n_subsets=cfg.n_subsets)
-    yield Table("conditional_mean", _MEAN_HEADER, curve)
+    blocks = memory.conditional_blocks(seq, cfg.n_subsets)
+    for k, block in enumerate(blocks[1], start=1):
+        yield Table("conditional_pdf", ("x", "y"),
+                    pdf_estimate(block, seq.mean_interval, mode=cfg.binning, n_bins=cfg.n_bins), f"_k{k}")
+    yield Table("conditional_mean", _MEAN_HEADER, conditional_mean_curve(blocks, seq.mean_interval))
 
 
 def _shuffled_mean_tables(seq, cfg):
-    curve = conditional_mean_curve(shuffle_intervals(seq, cfg.seed), n_subsets=cfg.n_subsets)
-    yield Table("conditional_mean_shuffled", _MEAN_HEADER, curve)
+    blocks = memory.conditional_blocks(shuffle_intervals(seq, cfg.seed), cfg.n_subsets)
+    yield Table("conditional_mean_shuffled", _MEAN_HEADER, conditional_mean_curve(blocks, seq.mean_interval))
 
 
 def _cluster_tables(seq, cfg):
@@ -665,7 +668,7 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
                     n_low = len(extract_intervals(vol, cfg.thresholds[0], session_ids))
                 except ValueError:  # no interval: under two events, or none in one session
                     n_low = 0
-                n_seeds = cfg.ensemble if n_low >= 2 * cfg.n_subsets else 0
+                n_seeds = cfg.ensemble if n_low >= memory.min_intervals(cfg.n_subsets) else 0
                 queued.append((summary, outdir, ex.submit(_analyze_one, vol, session_ids, cfg, outdir),
                               [ex.submit(_seed_rows, vol, cfg.thresholds, cfg.seed + i)
                                for i in range(n_seeds)]))

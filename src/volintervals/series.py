@@ -150,7 +150,7 @@ def build_intraday_pattern(vol: VolatilitySeries, slots, session_ids) -> np.ndar
     slot; NaN for a slot never observed (empty, not zero)."""
     slots = np.asarray(slots, dtype=np.int64)
     session_ids = np.asarray(session_ids)
-    if np.unique(session_ids).size < 2:
+    if not (session_ids != session_ids[:1]).any():  # one session id, or none
         raise ValueError("intraday pattern needs at least 2 sessions")
     n_slots = int(slots.max()) + 1
     counts = np.bincount(slots, minlength=n_slots)

@@ -102,10 +102,11 @@ def test_criterion_2_original_tolerance(oracle_seqs):
 
 def test_criterion_3_conditional_mean_memory(oracle_seqs):
     seq = oracle_seqs[1.0]
-    _, means, stderr = conditional_mean_curve(seq, n_subsets=8)
+    _, means, stderr = conditional_mean_curve(conditional_blocks(seq, 8), seq.mean_interval)
     low_ok = means[0] < 1.0 - 3 * stderr[0]
     high_ok = means[-1] > 1.0 + 3 * stderr[-1]
-    _, shuf_means, shuf_stderr = conditional_mean_curve(shuffle_intervals(seq, seed=42), n_subsets=8)
+    shuf = shuffle_intervals(seq, seed=42)
+    _, shuf_means, shuf_stderr = conditional_mean_curve(conditional_blocks(shuf, 8), shuf.mean_interval)
     flat_ok = bool(np.all(np.abs(shuf_means - 1.0) < 3 * shuf_stderr))
     report(3, f"memory: lowest octile {means[0]:.3f}, highest {means[-1]:.3f}; "
               f"shuffled max |dev|/stderr={np.max(np.abs(shuf_means - 1) / shuf_stderr):.2f}",
@@ -205,10 +206,10 @@ def test_criterion_8_determinism_and_exactness(tmp_path):
 
     # law of total expectation, exact at integer precision, over the blocks
     # whose integer sums and counts give the conditional mean curve
-    succ = conditional_blocks(seq, n_subsets=8)[1]
-    sums = np.array([s.sum() for s in succ])
-    counts = np.array([s.size for s in succ])
-    _, means, _ = conditional_mean_curve(seq, n_subsets=8)
+    blocks = conditional_blocks(seq, n_subsets=8)
+    sums = np.array([s.sum() for s in blocks[1]])
+    counts = np.array([s.size for s in blocks[1]])
+    _, means, _ = conditional_mean_curve(blocks, seq.mean_interval)
     lote = (np.array_equal(means, sums / counts / seq.mean_interval)
             and int(sums.sum()) == int(seq.intervals[1:].sum())
             and int(counts.sum()) == len(seq) - 1)

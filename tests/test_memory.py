@@ -4,13 +4,13 @@ from scipy import stats
 
 from volintervals import (
     IntervalSequence,
+    conditional_blocks,
     conditional_mean_curve,
-    conditional_pdfs,
     extract_intervals,
     pdf_estimate,
     shuffle_intervals,
 )
-from volintervals.memory import conditional_blocks
+from volintervals.pipeline import AnalysisConfig, _conditional_tables
 
 
 def make_seq(intervals, q=1.0):
@@ -18,12 +18,12 @@ def make_seq(intervals, q=1.0):
 
 
 def test_one_value_per_subset():
-    seq = make_seq([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
+    seq = make_seq(list(range(1, 18)))  # the fewest intervals for 8 subsets
     cond, succ = conditional_blocks(seq, n_subsets=8)
     assert (cond[0].min(), cond[0].max()) == (1, 2)
     # successors of the two smallest predecessors
     assert sorted(succ[0].tolist()) == [2, 3]
-    assert len(conditional_pdfs(seq, n_subsets=8, mode="linear", n_bins=2)) == 8
+    assert len([pdf_estimate(s, seq.mean_interval, mode="linear", n_bins=2) for s in succ]) == 8
 
 
 def test_periodic_alternation():
@@ -36,7 +36,7 @@ def test_periodic_alternation():
 def test_conditional_mean_alternating_exact():
     seq = make_seq([1, 9] * 8)
     assert seq.mean_interval == 5.0
-    _, means, _ = conditional_mean_curve(seq, n_subsets=2)
+    _, means, _ = conditional_mean_curve(conditional_blocks(seq, 2), seq.mean_interval)
     assert means[0] == pytest.approx(1.8)
     assert means[1] == pytest.approx(0.2)
 
@@ -53,10 +53,10 @@ def test_law_of_total_expectation_exact():
     rng = np.random.default_rng(1)
     for trial in range(5):
         seq = make_seq(rng.geometric(0.25, size=200 + trial))
-        succ = conditional_blocks(seq, n_subsets=8)[1]
-        sums = np.array([s.sum() for s in succ])
-        counts = np.array([s.size for s in succ])
-        _, means, _ = conditional_mean_curve(seq, n_subsets=8)
+        blocks = conditional_blocks(seq, n_subsets=8)
+        sums = np.array([s.sum() for s in blocks[1]])
+        counts = np.array([s.size for s in blocks[1]])
+        _, means, _ = conditional_mean_curve(blocks, seq.mean_interval)
         assert np.array_equal(means, sums / counts / seq.mean_interval)
         total = sums.sum()
         assert total == seq.intervals[1:].sum()
@@ -74,20 +74,20 @@ def test_tie_break_is_stable_by_time_index():
 
 
 def test_insufficient_pairs():
-    with pytest.raises(ValueError, match="need at least 16 intervals for 8 subsets, have 3"):
+    with pytest.raises(ValueError, match="need at least 17 intervals for 8 subsets, have 3"):
         conditional_blocks(make_seq([1, 2, 3]), n_subsets=8)
 
 
 def test_iid_geometric_bin_means_near_one():
     rng = np.random.default_rng(2)
     seq = make_seq(rng.geometric(0.2, size=10**5))
-    _, means, stderr = conditional_mean_curve(seq, n_subsets=8)
+    _, means, stderr = conditional_mean_curve(conditional_blocks(seq, 8), seq.mean_interval)
     assert np.all(np.abs(means - 1.0) < 3 * stderr)
 
 
 def test_correlated_oracle_shows_memory(correlated_vol):
     seq = extract_intervals(correlated_vol, 1.0)
-    _, means, _ = conditional_mean_curve(seq, n_subsets=8)
+    _, means, _ = conditional_mean_curve(conditional_blocks(seq, 8), seq.mean_interval)
     assert means[0] < 1.0
     assert means[-1] > 1.0
     # near-monotone in tau0: at most 1 inversion among the 8 blocks
@@ -112,7 +112,7 @@ def test_shuffle_single_interval_unchanged():
 def test_shuffled_correlated_mean_curve_is_flat(correlated_vol):
     seq = extract_intervals(correlated_vol, 1.0)
     shuf = shuffle_intervals(seq, seed=42)
-    _, means, stderr = conditional_mean_curve(shuf, n_subsets=8)
+    _, means, stderr = conditional_mean_curve(conditional_blocks(shuf, 8), shuf.mean_interval)
     assert np.all(np.abs(means - 1.0) < 3 * stderr)
 
 
@@ -133,7 +133,7 @@ def test_shuffled_conditional_matches_unconditional():
 
 def test_conditional_pdf_scaled_with_full_sequence_mean(correlated_vol):
     seq = extract_intervals(correlated_vol, 1.5)
-    pdfs = conditional_pdfs(seq, n_subsets=8)
+    pdfs = [pdf_estimate(s, seq.mean_interval, n_bins=20) for s in conditional_blocks(seq, 8)[1]]
     assert len(pdfs) == 8
     x, y = pdfs[7]
     assert np.all(x >= 0)
@@ -143,12 +143,17 @@ def test_conditional_pdf_scaled_with_full_sequence_mean(correlated_vol):
 
 
 @pytest.mark.parametrize("mode, n_bins", [("logarithmic", 20), ("linear", 7)])
-def test_conditional_pdfs_match_per_block_oracle(correlated_vol, mode, n_bins):
+def test_conditional_tables_match_per_block_oracle(correlated_vol, mode, n_bins):
     seq = extract_intervals(correlated_vol, 2.0)
-    _, succ = conditional_blocks(seq, 5)
-    got = conditional_pdfs(seq, n_subsets=5, mode=mode, n_bins=n_bins)
-    assert len(got) == len(succ)
-    for block, (x, y) in zip(succ, got):
+    blocks = conditional_blocks(seq, 5)
+    *pdfs, mean = _conditional_tables(
+        seq, AnalysisConfig(inputs=["x.csv"], n_subsets=5, binning=mode, n_bins=n_bins))
+    assert [(t.stem, t.suffix) for t in pdfs] == [("conditional_pdf", f"_k{k}") for k in range(1, 6)]
+    for block, t in zip(blocks[1], pdfs):
         want_x, want_y = pdf_estimate(block, seq.mean_interval, mode=mode, n_bins=n_bins)
-        assert np.array_equal(x, want_x)
-        assert np.array_equal(y, want_y)
+        assert np.array_equal(t.columns[0], want_x)
+        assert np.array_equal(t.columns[1], want_y)
+    # the mean curve is taken from the same split
+    assert mean.stem == "conditional_mean"
+    for got, want in zip(mean.columns, conditional_mean_curve(blocks, seq.mean_interval)):
+        assert np.array_equal(got, want)

@@ -687,12 +687,12 @@ class TestRunPipeline:
     def test_q_failing_conditional_gets_no_surrogate(self, tmp_path):
         csv = synth_csv(tmp_path / "inst.csv", length=20000, kind="correlated", seed=1)
         out = tmp_path / "out"
-        # q=3.5 has 11 events: extraction passes, 8 conditional subsets need 16 intervals
+        # q=3.5 has 11 events: extraction passes, 8 conditional subsets need 17 intervals
         cfg = AnalysisConfig(inputs=[str(csv)], thresholds=[3.5, 1.0], ensemble=5,
                              out_dir=str(out))
         report = run_pipeline(cfg)
         assert report["errors"] == [{
-            "error": "need at least 16 intervals for 8 subsets, have 10",
+            "error": "need at least 17 intervals for 8 subsets, have 10",
             "instrument": "inst", "q": 3.5, "stage": "conditional"}]
         assert sorted(p.name for p in (out / "inst" / "q3.5").iterdir()) == \
             ["intervals.tsv", "scaled_pdf.tsv"]
@@ -831,8 +831,8 @@ class TestRunPipeline:
         assert report["errors"] == [{"instrument": "flat_open", "q": None, "stage": "volatility",
                                      "error": "pattern slot 0 is empty or non-positive"}]
 
-    def test_conditional_blocks_sorted_once_per_statistic(self, tmp_path, monkeypatch):
-        # conditional PDFs, conditional mean, shuffled conditional mean
+    def test_conditional_blocks_sorted_once_per_sequence(self, tmp_path, monkeypatch):
+        # the intervals (for the conditional PDFs and mean) and their shuffle
         calls = []
         blocks = volintervals.memory.conditional_blocks
         monkeypatch.setattr(volintervals.memory, "conditional_blocks",
@@ -841,13 +841,14 @@ class TestRunPipeline:
         cfg = AnalysisConfig(inputs=["inst.csv"], thresholds=[1.0, 2.0], ensemble=2)
         outcomes = _analyze_one(*_volatility(prices, cfg), cfg, tmp_path / "out")
         assert [sorted(o) for o in outcomes] == [["count", "mean_interval", "poisson_deviation"]] * 2
-        assert calls == [1.0] * 3 + [2.0] * 3
+        assert calls == [1.0] * 2 + [2.0] * 2
 
     @pytest.mark.filterwarnings("ignore:all intervals identical")
     def test_surrogate_error_keeps_its_threshold_order(self, tmp_path, monkeypatch):
-        # q=0.5 passes every stage, q=1 passes all but the surrogate (see
-        # TestSurrogateEnvelopes) and q=6 fails extraction
-        values = np.array([5, 5, 0, 5, 0.7, 0.7, 0, 0.7, 0.7, 0.7, 0.7, 0.7])
+        # q=0.5 passes every stage; q=1 has 4 events, the fewest for one subset,
+        # and passes all but the surrogate, as a seed leaves no interval above
+        # the median (see TestSurrogateEnvelopes); q=6 fails extraction
+        values = np.array([5, 5, 0, 5, 0.7, 0.7, 0, 5, 0.7, 0.7, 0.7, 0.7, 0.7])
         monkeypatch.setattr(volintervals.pipeline, "_volatility",
                             lambda prices, cfg: (VolatilitySeries(values), None))
         csv = tmp_path / "inst.csv"
@@ -1001,7 +1002,7 @@ def test_unit_without_intervals_at_any_threshold_shuffles_nothing(tmp_path, monk
 
 
 def test_unit_too_sparse_for_conditional_at_any_threshold_shuffles_nothing(tmp_path, monkeypatch):
-    # q = 2.9 and 3.1 leave 6 and 3 intervals: they extract, but 'conditional' needs 2 * 8
+    # q = 2.9 and 3.1 leave 6 and 3 intervals: they extract, but 'conditional' needs 2 * 8 + 1
     seeds = []
     shuffle = volintervals.pipeline.shuffle_volatility
     monkeypatch.setattr(volintervals.pipeline, "shuffle_volatility",
@@ -1014,6 +1015,34 @@ def test_unit_too_sparse_for_conditional_at_any_threshold_shuffles_nothing(tmp_p
                                                                 (3.1, "conditional")]
     assert json.loads((out / "inst" / "summary.json").read_text())["per_q"] == {}
     assert seeds == []
+
+
+def test_threshold_with_two_intervals_per_subset_fails_conditional(tmp_path, monkeypatch):
+    # 17 events above q = 1: 16 intervals leave one of 8 blocks a single
+    # successor, which has no standard error
+    values = np.zeros(400)
+    values[np.sort(np.random.default_rng(0).choice(400, 17, replace=False))] = 2.0
+    monkeypatch.setattr(volintervals.pipeline, "_volatility",
+                        lambda prices, cfg: (VolatilitySeries(values), None))
+    seeds = []
+    shuffle = volintervals.pipeline.shuffle_volatility
+    monkeypatch.setattr(volintervals.pipeline, "shuffle_volatility",
+                        lambda vol, seed: seeds.append(seed) or shuffle(vol, seed))
+    csv = tmp_path / "inst.csv"
+    csv.write_text("timestamp,price\n" + "".join(
+        f"2000-01-{d:02d}T00:00:00,{100 + d}\n" for d in range(1, 14)))
+    out = tmp_path / "out"
+    report = run_pipeline(AnalysisConfig(inputs=[str(csv)], thresholds=[1.0], ensemble=4,
+                                         out_dir=str(out)))
+    assert report["errors"] == [{"instrument": "inst", "q": 1.0, "stage": "conditional",
+                                 "error": "need at least 17 intervals for 8 subsets, have 16"}]
+    assert seeds == []
+    tsvs = sorted(out.rglob("*.tsv"))
+    assert tsvs
+    for path in tsvs:
+        rows = [line.split("\t") for line in path.read_text().splitlines() if not line.startswith("#")]
+        cells = [float(c) for row in rows[1:] for c in row if c not in ("above", "below")]
+        assert np.all(np.isfinite(cells)), path
 
 
 def _tree(root: Path) -> dict:

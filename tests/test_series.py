@@ -103,11 +103,16 @@ class TestIntradayPattern:
         vol = VolatilitySeries(np.array([1.0, 3, 3, 1]))
         pat = build_intraday_pattern(vol, slots=[0, 1, 0, 1], session_ids=[0, 0, 1, 1])
         assert np.allclose(pat, [2, 2])
+        # unsorted: the first and last sample share a session, another lies between them
+        pat = build_intraday_pattern(vol, slots=[0, 1, 0, 1], session_ids=[1, 0, 0, 1])
+        assert np.allclose(pat, [2, 2])
 
     def test_single_session_raises(self):
         vol = VolatilitySeries(np.array([1.0, 2, 3]))
         with pytest.raises(ValueError, match="intraday pattern needs at least 2 sessions"):
             build_intraday_pattern(vol, slots=[0, 1, 2], session_ids=[0, 0, 0])
+        with pytest.raises(ValueError, match="intraday pattern needs at least 2 sessions"):
+            build_intraday_pattern(VolatilitySeries(np.array([])), slots=[], session_ids=[])
 
     def test_empty_slot_is_nan_not_zero(self):
         vol = VolatilitySeries(np.array([1.0, 1.0]))
