@@ -7,7 +7,7 @@ surrogates and synthetic correlated/i.i.d. oracles for verification.
 """
 
 from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
-from .distributions import collapse_distance, pdf_estimate, poisson_deviation
+from .distributions import collapse_distance, geometric_deviation, pdf_estimate
 from .intervals import IntervalSequence, extract_intervals
 from .memory import conditional_blocks, conditional_mean_curve, shuffle_intervals
 from .pipeline import AnalysisConfig, ingest_csv, run_pipeline, split_by_date, write_csv

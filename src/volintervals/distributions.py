@@ -5,8 +5,8 @@ scaled curves for different thresholds coincide, the interval
 distribution is a single shape rescaled by its mean. Collapse quality is
 measured by two-sample Kolmogorov-Smirnov distances on the raw scaled
 samples (never on bins); deviation from the memoryless baseline is the
-KS distance to the unit-mean exponential. Both are plain statistics
-computed from sorted samples; no p-value is computed.
+KS distance of the integer intervals to the geometric law with the same
+mean. Both are plain statistics; no p-value is computed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .intervals import IntervalSequence
 __all__ = [
     "pdf_estimate",
     "collapse_distance",
-    "poisson_deviation",
+    "geometric_deviation",
 ]
 
 
@@ -116,42 +116,13 @@ def collapse_distance(sequences, jitter_seed: int | None = None) -> np.ndarray:
     return d
 
 
-# Rational-function coefficients of expm1 on [-0.5, 0.5], highest power first.
-_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2,
-            9.9999999999999999991025e-1)
-_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
-            2.2726554820815502876593e-1, 2.0000000000000000009103e0)
-
-
-def _exponential_cdf(x: np.ndarray) -> np.ndarray:
-    """1 - exp(-x), elementwise for x >= 0, as cephes computes -expm1(-x).
-
-    A port of Moshier's Cephes expm1 (unity.c) that equals
-    -scipy.special.expm1(-x) to the last bit: above 0.5 through math.exp, the
-    C library's exp (np.exp's SIMD code differs in the last bit on some
-    hosts); up to 0.5 by cephes's rational function, where np.polyval takes
-    polevl's Horner steps in the same order.
-    """
-    out = np.empty_like(x)
-    big = x > 0.5
-    out[big] = 1.0 - np.fromiter(map(math.exp, (-x[big]).tolist()), float)
-    xs = -x[~big]
-    xx = xs * xs
-    r = xs * np.polyval(_EXPM1_P, xx)
-    r = r / (np.polyval(_EXPM1_Q, xx) - r)
-    out[~big] = -(r + r)
-    return out
-
-
-def poisson_deviation(seq: IntervalSequence) -> float:
-    """KS distance of the scaled intervals from the unit-mean exponential."""
-    x = np.sort(seq.scaled())
-    n = x.size
-    # F_n - F is largest at the last of a run of equal values and F - F_n at the
-    # first, so the exponential CDF is needed once per distinct value; integer
-    # intervals have tens to hundreds of them
-    first = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    cdf = _exponential_cdf(x[first])
-    d_plus = (np.r_[first[1:], n] / n - cdf).max()
-    d_minus = (cdf - first / n).max()
-    return float(max(d_plus, d_minus))
+def geometric_deviation(seq: IntervalSequence) -> float:
+    """KS distance of the intervals from the geometric law with p = 1/<tau>,
+    that of the intervals between uncorrelated exceedances."""
+    iv = seq.intervals
+    # both CDFs step only at integers, so the sup is the max over k = 1..max tau;
+    # the geometric CDF is 1 - (1 - p)^k by plain products, which no host's SIMD
+    # transcendental code can round differently
+    emp = np.cumsum(np.bincount(iv)[1:]) / iv.size
+    cdf = 1.0 - np.cumprod(np.full(emp.size, 1.0 - 1.0 / seq.mean_interval))
+    return float(np.abs(emp - cdf).max())

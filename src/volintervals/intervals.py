@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import VolatilitySeries
+from .series import VolatilitySeries, _per_sample
 
 __all__ = [
     "IntervalSequence",
@@ -61,7 +61,7 @@ def extract_intervals(vol, q: float, session_ids=None) -> IntervalSequence:
         raise ValueError(f"threshold q={q:g}: found {events.size} event(s), need at least 2")
     intervals = np.diff(events)
     if session_ids is not None:
-        sid = np.asarray(session_ids)
+        sid = _per_sample(session_ids, g.size, "session_ids")
         keep = sid[events[1:]] == sid[events[:-1]]
         if not np.any(keep):
             raise ValueError(f"threshold q={q:g}: {events.size} events, but no two successive "

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import memory
 from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
-from .distributions import collapse_distance, pdf_estimate, poisson_deviation
+from .distributions import collapse_distance, geometric_deviation, pdf_estimate
 from .intervals import extract_intervals
 from .memory import conditional_mean_curve, shuffle_intervals
 from .series import (
@@ -567,7 +567,7 @@ def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
     """Run stage `name` on cfg.inputs[0] per threshold, writing under cfg.out_dir.
 
     Yields the subcommand's report lines as they become known: each
-    threshold's mean interval and Poisson deviation for `pdf`, the counts
+    threshold's mean interval and geometric deviation for `pdf`, the counts
     (also written to intervals_summary.json) for `intervals`, and where the
     files went for the others. The first failing threshold raises.
     """
@@ -581,7 +581,7 @@ def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
         counts.append({"q": q, "count": len(seq), "mean_interval": seq.mean_interval})
         if name == "pdf":
             yield (f"q={q:g}: mean_interval={_fmt(seq.mean_interval)} "
-                   f"poisson_deviation={_fmt(poisson_deviation(seq))}")
+                   f"geometric_deviation={_fmt(geometric_deviation(seq))}")
     if name == "intervals":
         _write_json(out / "intervals_summary.json", counts)
         yield json.dumps(counts)
@@ -592,7 +592,7 @@ def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
 def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
     """Every stage but the surrogate on one unit, writing its TSVs and collapse_matrix.json.
     Returns per threshold its interval count, mean interval and distance from the
-    exponential, or the (stage, error) that stopped it."""
+    geometric law, or the (stage, error) that stopped it."""
     seqs, outcomes = {}, []
     for q in cfg.thresholds:
         stage = "extract"
@@ -603,7 +603,7 @@ def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
                 for t in tables(seq, cfg):
                     _write_tsv(outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv", t.header, t.columns)
             outcomes.append({"count": len(seq), "mean_interval": seq.mean_interval,
-                             "poisson_deviation": poisson_deviation(seq)})
+                             "geometric_deviation": geometric_deviation(seq)})
         except ValueError as exc:  # e.g. too few events, or too few intervals for the subsets
             outcomes.append((stage, exc))
 

@@ -145,11 +145,19 @@ def session_slots(timestamps, session_open: str, session_close: str,
     return secs // step, days.astype(np.int64)
 
 
+def _per_sample(values, n: int, name: str) -> np.ndarray:
+    """`values` as an array, which must hold one entry for each of n volatility samples."""
+    a = np.asarray(values)
+    if a.shape != (n,):
+        raise ValueError(f"{name} has length {a.size} but the volatility has {n} samples")
+    return a
+
+
 def build_intraday_pattern(vol: VolatilitySeries, slots, session_ids) -> np.ndarray:
     """Mean volatility of each time-of-day slot across sessions, indexed by
     slot; NaN for a slot never observed (empty, not zero)."""
-    slots = np.asarray(slots, dtype=np.int64)
-    session_ids = np.asarray(session_ids)
+    slots = _per_sample(slots, vol.values.size, "slots").astype(np.int64, copy=False)
+    session_ids = _per_sample(session_ids, vol.values.size, "session_ids")
     if not (session_ids != session_ids[:1]).any():  # one session id, or none
         raise ValueError("intraday pattern needs at least 2 sessions")
     n_slots = int(slots.max()) + 1
@@ -161,7 +169,7 @@ def build_intraday_pattern(vol: VolatilitySeries, slots, session_ids) -> np.ndar
 def intraday_detrend(vol: VolatilitySeries, pattern: np.ndarray, slots) -> VolatilitySeries:
     """Divide each observation by its slot's cross-session mean, `pattern`
     being build_intraday_pattern's slot means."""
-    slots = np.asarray(slots, dtype=np.int64)
+    slots = _per_sample(slots, vol.values.size, "slots").astype(np.int64, copy=False)
     if slots.max() >= pattern.size:
         raise ValueError(f"slot {int(slots.max())} not covered by pattern")
     means = pattern[slots]

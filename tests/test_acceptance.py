@@ -24,11 +24,11 @@ from volintervals import (
     conditional_mean_curve,
     extract_intervals,
     gen_iid_gaussian,
+    geometric_deviation,
     impose_intraday_pattern,
     intraday_detrend,
     median_split,
     normalize_volatility,
-    poisson_deviation,
     run_pipeline,
     shuffle_intervals,
     shuffle_volatility,
@@ -81,12 +81,14 @@ def test_criterion_1_uncorrelated_baseline():
 
 def test_criterion_2_scaling_collapse(oracle_seqs):
     seqs = [oracle_seqs[q] for q in QS]
-    devs = [poisson_deviation(s) for s in seqs]
+    devs = [geometric_deviation(s) for s in seqs]
+    assert devs == pytest.approx([geometric_cdf_ks(s.intervals, 1 / s.mean_interval) for s in seqs],
+                                 abs=1e-12)
     d = collapse_distance(seqs, jitter_seed=0)
     off = d[np.triu_indices(len(QS), 1)]
     ok = all(v > 0.10 for v in devs) and np.all(off < COLLAPSE_TOL_ACROSS_Q)
     report(2, f"collapse: max pairwise KS={off.max():.3f} (< {COLLAPSE_TOL_ACROSS_Q}), "
-              f"poisson deviations={[round(v, 3) for v in devs]} (each > 0.10)", ok)
+              f"geometric deviations={[round(v, 3) for v in devs]} (each > 0.10)", ok)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -9,16 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import stats
 
 import volintervals
 from volintervals import (
+    GeneratorSpec,
     IntervalSequence,
+    VolatilitySeries,
     collapse_distance,
+    extract_intervals,
+    gen_iid_gaussian,
+    geometric_deviation,
+    normalize_volatility,
     pdf_estimate,
-    poisson_deviation,
 )
-from volintervals.distributions import _exponential_cdf, _ks_distance, continuity_corrected_sample
+from volintervals.distributions import _ks_distance, continuity_corrected_sample
 
 
 def make_seq(intervals, q=1.0):
@@ -199,11 +204,21 @@ SIZES = [(1, 1), (3, 7), (50, 17), (2999, 3000), (10_000, 40), (10_000, 10_000),
          (10_001, 40), (9_000, 11_000), (12_000, 10_500)]
 
 
-# integer intervals per size, and 6 values repeated 500 times: their mean is 4, so
-# the intervals of 2 scale to exactly 0.5, where the exponential CDF changes branch
-POISSON_SAMPLES = {str(n): np.random.default_rng(n).geometric(0.1, size=n)
-                   for n in (1, 2, 17, 3000, 10_000, 10_001, 12_000)}
-POISSON_SAMPLES["ties"] = np.repeat([1, 2, 3, 5, 6, 7], 500)
+# integer intervals per size, a tied sample whose mean is 4, and constant intervals
+GEOMETRIC_SAMPLES = {str(n): np.random.default_rng(n).geometric(0.1, size=n)
+                     for n in (1, 2, 17, 3000, 10_000, 10_001, 12_000)}
+GEOMETRIC_SAMPLES["ties"] = np.repeat([1, 2, 3, 5, 6, 7], 500)
+GEOMETRIC_SAMPLES["ones"] = np.ones(5, dtype=int)
+
+
+def geometric_oracle(intervals):
+    """sup |F_n - F| over every integer 1..max tau, F scipy's geometric CDF with p = 1/<tau>."""
+    seq = make_seq(intervals)
+    k = np.arange(1, seq.intervals.max() + 1)
+    emp = np.searchsorted(np.sort(seq.intervals), k, side="right") / len(seq)
+    with np.errstate(divide="ignore"):  # p = 1 takes log1p(-1) = -inf, and F = 1
+        cdf = stats.geom.cdf(k, 1 / seq.mean_interval)
+    return float(np.abs(emp - cdf).max())
 
 
 class TestScipyOracle:
@@ -241,38 +256,16 @@ class TestScipyOracle:
             for j in range(i + 1, 3):
                 assert d[i, j] == d[j, i] == stats.ks_2samp(corrected[i], corrected[j]).statistic
 
-    @pytest.mark.parametrize("intervals", POISSON_SAMPLES.values(), ids=list(POISSON_SAMPLES))
+    @pytest.mark.parametrize("intervals", GEOMETRIC_SAMPLES.values(), ids=list(GEOMETRIC_SAMPLES))
     def test_poisson_deviation(self, intervals):
-        seq = make_seq(intervals)
-        assert poisson_deviation(seq) == stats.kstest(seq.scaled(), stats.expon.cdf).statistic
-
-
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)  # -0.0 and nan payloads count
-
-
-# the two branches meet at 0.5; then zero, the least subnormal and normal, exp(-x)
-# underflowing to 0, and infinity
-CDF_EDGES = [0.0, 5e-324, 2.2250738585072009e-308, np.nextafter(0.5, 0), 0.5,
-             np.nextafter(0.5, 1), 745.2, 1e300, np.inf]
-
-
-class TestExpm1:
-    """The exponential CDF equals -scipy.special.expm1(-x) to the last bit."""
-
-    def test_edge_values(self):
-        x = np.array(CDF_EDGES)
-        assert np.array_equal(_bits(_exponential_cdf(x)), _bits(-special.expm1(-x)))
-
-    def test_sweep_of_the_exponential_cdf_domain(self):
-        x = 50.0 * np.random.default_rng(5).random(10**6)  # [0, 50)
-        assert np.array_equal(_bits(_exponential_cdf(x)), _bits(-special.expm1(-x)))
+        assert geometric_deviation(make_seq(intervals)) == pytest.approx(
+            geometric_oracle(intervals), abs=1e-12)
 
     @pytest.mark.long_search
-    @given(st.floats(min_value=0.0))
-    def test_any_float(self, v):
-        x = np.array([v])
-        assert _bits(_exponential_cdf(x)) == _bits(-special.expm1(-x))
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=200))
+    def test_geometric_deviation_on_any_intervals(self, intervals):
+        assert geometric_deviation(make_seq(intervals)) == pytest.approx(
+            geometric_oracle(intervals), abs=1e-12)
 
 
 def _python(code, *argv, cwd=None):
@@ -289,7 +282,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # synth, analyze with a split, pdf, whose stdout holds poisson_deviation, the
+    # synth, analyze with a split, pdf, whose stdout holds geometric_deviation, the
     # other stage commands and split
     commands = [["synth", "--kind", "correlated", "--length", "4096", "--out", "s.csv"],
                 ["analyze", "s.csv", "--q", "1", "--q", "2", "--ensemble", "5",
@@ -308,25 +301,31 @@ def test_commands_run_without_scipy(tmp_path):
         files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
         trees.append((stdout, files))
     assert trees[0] == trees[1]
-    assert "poisson_deviation=" in trees[0][0][2] and "o/s/pre/summary.json" in trees[0][1]
+    assert "geometric_deviation=" in trees[0][0][2] and "o/s/pre/summary.json" in trees[0][1]
     assert {"i", "c", "k", "sp"} <= {name.split("/")[0] for name in trees[0][1]}
 
 
 class TestPoissonDeviation:
-    def test_exponential_sample_is_close(self):
-        # scaled geometric intervals tend to the exponential; the lattice adds about p
+    """Distance from the memoryless (Poisson) case, whose intervals are geometric."""
+
+    def test_geometric_sample_is_close(self):
         rng = np.random.default_rng(7)
-        assert poisson_deviation(make_seq(rng.geometric(0.001, size=10**5))) < 0.01
+        assert geometric_deviation(make_seq(rng.geometric(0.001, size=10**5))) < 0.01
 
     def test_constant_intervals(self):
-        # point mass at x=1: sup |F_n - F| is reached just below the jump,
-        # where the exponential CDF has already climbed to 1 - 1/e
-        d = poisson_deviation(make_seq([4, 4, 4, 4]))
-        assert d == pytest.approx(1 - np.exp(-1), abs=1e-9)
+        # point mass at 4, p = 1/4: sup |F_n - F| is at k = 3, where F_n is still 0
+        assert geometric_deviation(make_seq([4, 4, 4, 4])) == pytest.approx(1 - 0.75**3, abs=1e-15)
 
-    def test_iid_intervals_near_exponential_at_high_threshold(self):
+    def test_iid_intervals_near_geometric_at_high_threshold(self):
         rng = np.random.default_rng(8)
         g = np.abs(rng.standard_normal(10**6))
-        from volintervals import VolatilitySeries, extract_intervals
         seq = extract_intervals(VolatilitySeries(g), 2.0)
-        assert poisson_deviation(seq) < 0.05
+        assert geometric_deviation(seq) < 0.01
+
+    def test_separates_iid_from_correlated_volatility(self, correlated_vol):
+        # memoryless exceedances are geometric at every threshold; long-range
+        # correlation clusters them, far from the geometric law
+        iid = normalize_volatility(gen_iid_gaussian(GeneratorSpec("iid_gaussian", 2**18, seed=1)))
+        for q in (1.0, 1.5, 2.0):
+            assert geometric_deviation(extract_intervals(iid, q)) < 0.01
+            assert geometric_deviation(extract_intervals(correlated_vol, q)) > 0.10

@@ -14,6 +14,7 @@ from volintervals import (
     IntervalSequence,
     PriceSeries,
     VolatilitySeries,
+    build_intraday_pattern,
     clusters,
     extract_intervals,
     intraday_detrend,
@@ -65,6 +66,18 @@ GUARDS = {
                        "volatility values must be non-negative"),
     "detrend_slot": (lambda: intraday_detrend(VolatilitySeries([1.0, 1.0]), np.ones(2), [0, 2]),
                      ValueError, "slot 2 not covered by pattern"),
+    "extract_short_sessions": (lambda: extract_intervals([2.0, 0.0, 2.0, 2.0], 1.0, [0, 0]),
+                               ValueError,
+                               "session_ids has length 2 but the volatility has 4 samples"),
+    "extract_long_sessions": (lambda: extract_intervals([2.0, 0.0, 2.0], 1.0, [0, 0, 0, 1]),
+                              ValueError,
+                              "session_ids has length 4 but the volatility has 3 samples"),
+    "detrend_short_slots": (lambda: intraday_detrend(VolatilitySeries([1.0, 2.0]), np.ones(2), [0]),
+                            ValueError, "slots has length 1 but the volatility has 2 samples"),
+    "pattern_long_sessions": (lambda: build_intraday_pattern(VolatilitySeries([1.0, 2.0]), [0, 1],
+                                                             [0, 1, 1]),
+                              ValueError,
+                              "session_ids has length 3 but the volatility has 2 samples"),
 }
 
 

@@ -840,7 +840,7 @@ class TestRunPipeline:
         prices = ingest_csv(synth_csv(tmp_path / "inst.csv", length=20000, seed=1))
         cfg = AnalysisConfig(inputs=["inst.csv"], thresholds=[1.0, 2.0], ensemble=2)
         outcomes = _analyze_one(*_volatility(prices, cfg), cfg, tmp_path / "out")
-        assert [sorted(o) for o in outcomes] == [["count", "mean_interval", "poisson_deviation"]] * 2
+        assert [sorted(o) for o in outcomes] == [["count", "geometric_deviation", "mean_interval"]] * 2
         assert calls == [1.0] * 2 + [2.0] * 2
 
     @pytest.mark.filterwarnings("ignore:all intervals identical")
