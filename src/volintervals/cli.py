@@ -29,19 +29,18 @@ from .pipeline import (
 from .series import PriceSeries
 from .synthetic import GeneratorSpec, correlated_gaussian, gen_iid_gaussian
 
-# analysis flags; each stores under its AnalysisConfig field name, and only
-# when typed, so `_config` lays it over the --config file and the defaults
+# analysis flags; each stores under the AnalysisConfig field it names (binning's two: `binning`),
+# and only when typed, so `_config` lays it over the --config file and the defaults
 FLAGS = {
-    "--q": dict(dest="thresholds", action="append", type=float,
-                help="volatility threshold (repeatable)"),
-    "--bins": dict(dest="n_bins", type=int),
+    "--q": dict(action="append", type=float, help="volatility threshold (repeatable)"),
+    "--bins": dict(type=int),
     "--log-bins": dict(dest="binning", action="store_const", const="logarithmic"),
     "--linear-bins": dict(dest="binning", action="store_const", const="linear"),
-    "--subsets": dict(dest="n_subsets", type=int),
+    "--subsets": dict(type=int),
     "--seed": dict(type=int),
     "--ensemble": dict(type=int),
     "--split-date": dict(),
-    "--out": dict(dest="out_dir"),
+    "--out": dict(),
 }
 _BINS = ("--bins", "--log-bins", "--linear-bins")
 # analysis command -> (help, the flags it reads); every command but analyze
@@ -70,10 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (text, flags) in ANALYSIS_COMMANDS.items():
         p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
         if name == "analyze":
-            p.add_argument("inputs", nargs="*", help="input CSV files (timestamp,price)")
+            p.add_argument("input", nargs="*", help="input CSV files (timestamp,price)")
             p.add_argument("--config", help="key=value config file")
         else:
-            p.add_argument("inputs", nargs=1, metavar="input")
+            p.add_argument("input", nargs=1)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
 

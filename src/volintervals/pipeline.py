@@ -63,59 +63,64 @@ class IngestError(ValueError):
     pass
 
 
+# the integer settings -> the least value each takes
+_INT_LEAST = {"bins": 2, "subsets": 1, "seed": 0, "ensemble": 1, "max_workers": 1}
+
+
 @dataclass
 class AnalysisConfig:
-    inputs: list[str] = field(default_factory=list)
-    thresholds: list[float] = field(default_factory=lambda: [1.0, 1.25, 1.5, 1.75, 2.0])
+    """The settings of a run; each field is named by its config-file key."""
+
+    input: list[str] = field(default_factory=list)
+    q: list[float] = field(default_factory=lambda: [1.0, 1.25, 1.5, 1.75, 2.0])
     binning: str = "logarithmic"
-    n_bins: int = 30
-    n_subsets: int = 8
+    bins: int = 30
+    subsets: int = 8
     seed: int = 0
     ensemble: int = 100
     split_date: str | None = None
     session_open: str | None = None
     session_close: str | None = None
     drop_session_gaps: bool = False
-    out_dir: str = "out"
+    out: str = "out"
     max_workers: int = 4
 
     def __post_init__(self):
         # a string's characters would be read as files
-        if isinstance(self.inputs, (str, os.PathLike)) or not hasattr(self.inputs, "__iter__"):
-            raise ConfigError(f"inputs must be a list of paths, got {self.inputs!r}")
-        if not self.inputs:
+        if isinstance(self.input, (str, os.PathLike)) or not hasattr(self.input, "__iter__"):
+            raise ConfigError(f"input must be a list of paths, got {self.input!r}")
+        self.input = list(self.input)  # a numpy array has no truth value
+        if not self.input:
             raise ConfigError("no input files configured")
         first: dict = {}  # file stem -> the input that has it; out/{stem}/ holds its outputs
-        for p in self.inputs:
+        for p in self.input:
             if not isinstance(p, (str, os.PathLike)):
-                raise ConfigError(f"inputs must be paths, got {p!r}")
+                raise ConfigError(f"input must be paths, got {p!r}")
             if not str(p).strip():  # a blank name would be read as "."
-                raise ConfigError(f"inputs must not be blank, got {p!r}")
+                raise ConfigError(f"input must not be blank, got {p!r}")
             # out/{stem} would be out itself, its parent, or the run's report
             if (stem := Path(p).stem) in ("", ".", "..", "report.json"):
                 raise ConfigError(f"input {p} has the file stem {stem!r}, which cannot name its "
                                   "output directory")
             if stem in first:
-                raise ConfigError(f"inputs {first[stem]} and {p} share the file stem {stem!r}, "
+                raise ConfigError(f"input {first[stem]} and {p} share the file stem {stem!r}, "
                                   "which names their output directory")
             first[stem] = p
-        if not isinstance(self.out_dir, (str, os.PathLike)):
-            raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
-        if not str(self.out_dir).strip():
-            raise ConfigError(f"out_dir must not be blank, got {self.out_dir!r}")
-        if (not hasattr(self.thresholds, "__iter__") or not self.thresholds
-                or not all(isinstance(q, numbers.Real) and not isinstance(q, bool) and math.isfinite(q)
-                           and q > 0 for q in self.thresholds)):
-            raise ConfigError(f"thresholds must be a non-empty list of finite, positive numbers, "
-                              f"got {self.thresholds!r}")
-        self.thresholds = sorted({float(q) for q in self.thresholds})
-        for a, b in zip(self.thresholds, self.thresholds[1:]):  # q{q:g} names each one's outputs
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ConfigError(f"out must be a path, got {self.out!r}")
+        if not str(self.out).strip():
+            raise ConfigError(f"out must not be blank, got {self.out!r}")
+        qs = list(self.q) if hasattr(self.q, "__iter__") else []
+        if not qs or not all(isinstance(q, numbers.Real) and not isinstance(q, bool) and math.isfinite(q)
+                             and q > 0 for q in qs):
+            raise ConfigError(f"q must be a non-empty list of finite, positive numbers, got {self.q!r}")
+        self.q = sorted({float(q) for q in qs})
+        for a, b in zip(self.q, self.q[1:]):  # q{q:g} names each one's outputs
             if f"{a:g}" == f"{b:g}":
-                raise ConfigError(f"thresholds {a} and {b} both print as '{a:g}'")
+                raise ConfigError(f"q {a} and {b} both print as '{a:g}'")
         if self.binning not in ("linear", "logarithmic"):
             raise ConfigError(f"binning must be 'linear' or 'logarithmic', got {self.binning!r}")
-        for key, least in (("n_bins", 2), ("n_subsets", 1), ("seed", 0), ("ensemble", 1),
-                           ("max_workers", 1)):
+        for key, least in _INT_LEAST.items():
             try:  # numpy integers pass; floats, strings and bools do not
                 if isinstance(getattr(self, key), bool):
                     raise TypeError
@@ -159,25 +164,23 @@ def load_config(path, **overrides) -> AnalysisConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key}")
+        if key not in AnalysisConfig.__dataclass_fields__:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key == "input":
-                kw.setdefault("inputs", []).append(value)
-            elif key == "q":
-                kw["thresholds"] = [float(v) for v in value.split(",")]  # float("") raises
-            elif key in ("bins", "subsets", "seed", "ensemble", "max_workers"):
-                kw[{"bins": "n_bins", "subsets": "n_subsets"}.get(key, key)] = int(value)
+            if key == "q":
+                value = [float(v) for v in value.split(",")]  # float("") raises
+            elif key in _INT_LEAST:
+                value = int(value)
             elif key == "drop_session_gaps":  # .index raises for a word that is neither
-                kw[key] = ("0", "false", "no", "1", "true", "yes").index(value.lower()) > 2
-            elif key in ("binning", "split_date", "session_open", "session_close", "out"):
-                kw["out_dir" if key == "out" else key] = value
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+                value = ("0", "false", "no", "1", "true", "yes").index(value.lower()) > 2
         except ValueError as exc:  # int(), float() or .index() of the value
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        if key != "input" and key in first_line:  # every `input` line adds a file
+        if key == "input":  # every `input` line adds a file
+            kw.setdefault(key, []).append(value)
+        elif key in first_line:
             raise ConfigError(f"{path}:{lineno}: repeated key {key!r}, first set on line {first_line[key]}")
+        else:
+            kw[key] = value
         first_line[key] = lineno
     return AnalysisConfig(**{**kw, **overrides})
 
@@ -479,7 +482,7 @@ def _intervals_tables(seq, cfg):
 
 def _pdf_tables(seq, cfg):
     yield Table("scaled_pdf", ("x", "y"),
-                pdf_estimate(seq.intervals, seq.mean_interval, mode=cfg.binning, n_bins=cfg.n_bins))
+                pdf_estimate(seq.intervals, seq.mean_interval, mode=cfg.binning, n_bins=cfg.bins))
 
 
 _MEAN_HEADER = ("tau0_scaled", "mean_scaled", "stderr")
@@ -488,15 +491,15 @@ _MEAN_HEADER = ("tau0_scaled", "mean_scaled", "stderr")
 # the conditional PDFs are scaled by the whole sequence's mean, as the
 # unconditional one, so the curves of different blocks are comparable
 def _conditional_tables(seq, cfg):
-    blocks = memory.conditional_blocks(seq, cfg.n_subsets)
+    blocks = memory.conditional_blocks(seq, cfg.subsets)
     for k, block in enumerate(blocks[1], start=1):
         yield Table("conditional_pdf", ("x", "y"),
-                    pdf_estimate(block, seq.mean_interval, mode=cfg.binning, n_bins=cfg.n_bins), f"_k{k}")
+                    pdf_estimate(block, seq.mean_interval, mode=cfg.binning, n_bins=cfg.bins), f"_k{k}")
     yield Table("conditional_mean", _MEAN_HEADER, conditional_mean_curve(blocks, seq.mean_interval))
 
 
 def _shuffled_mean_tables(seq, cfg):
-    blocks = memory.conditional_blocks(shuffle_intervals(seq, cfg.seed), cfg.n_subsets)
+    blocks = memory.conditional_blocks(shuffle_intervals(seq, cfg.seed), cfg.subsets)
     yield Table("conditional_mean_shuffled", _MEAN_HEADER, conditional_mean_curve(blocks, seq.mean_interval))
 
 
@@ -564,17 +567,17 @@ def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
 
 
 def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
-    """Run stage `name` on cfg.inputs[0] per threshold, writing under cfg.out_dir.
+    """Run stage `name` on cfg.input[0] per threshold, writing under cfg.out.
 
     Yields the subcommand's report lines as they become known: each
     threshold's mean interval and geometric deviation for `pdf`, the counts
     (also written to intervals_summary.json) for `intervals`, and where the
     files went for the others. The first failing threshold raises.
     """
-    out = Path(cfg.out_dir)
-    vol, session_ids = _volatility(ingest_csv(cfg.inputs[0]), cfg)
+    out = Path(cfg.out)
+    vol, session_ids = _volatility(ingest_csv(cfg.input[0]), cfg)
     counts = []
-    for q in cfg.thresholds:
+    for q in cfg.q:
         seq = extract_intervals(vol, q, session_ids)
         for t in STAGES[name](seq, cfg):
             _write_tsv(out / f"{t.stem}_q{q:g}{t.suffix}.tsv", t.header, t.columns)
@@ -594,7 +597,7 @@ def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
     Returns per threshold its interval count, mean interval and distance from the
     geometric law, or the (stage, error) that stopped it."""
     seqs, outcomes = {}, []
-    for q in cfg.thresholds:
+    for q in cfg.q:
         stage = "extract"
         try:
             seq = extract_intervals(vol, q, session_ids)
@@ -607,7 +610,7 @@ def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
         except ValueError as exc:  # e.g. too few events, or too few intervals for the subsets
             outcomes.append((stage, exc))
 
-    if len(seqs) >= 2:  # in ascending q, as cfg.thresholds are
+    if len(seqs) >= 2:  # in ascending q, as cfg.q is
         mat = collapse_distance(list(seqs.values()))
         _write_json(outdir / "collapse_matrix.json",
                     {"q": [f"{q:g}" for q in seqs], "ks_distance": mat.tolist()})
@@ -624,11 +627,11 @@ def _usable_cpus() -> int:
 def run_pipeline(cfg: AnalysisConfig) -> dict:
     """Run every configured analysis; returns the report bundle.
 
-    Outputs go under cfg.out_dir. Failures are attributed to (instrument,
+    Outputs go under cfg.out. Failures are attributed to (instrument,
     q, stage) and do not stop independent units. The report's "exit_code"
     is 0 only if everything succeeded.
     """
-    out = Path(cfg.out_dir)
+    out = Path(cfg.out)
     report: dict = {"instruments": [], "errors": []}
     # one pool, each task taking only what this thread knows when it queues it:
     # per unit, its stages and one shuffle per seed that serves every threshold;
@@ -636,7 +639,7 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
     ex = ThreadPoolExecutor(max_workers=min(cfg.max_workers, _usable_cpus()))
     try:
         queued = []  # (summary, outdir, stage task, seed tasks); no tasks if volatility failed
-        for path in cfg.inputs:
+        for path in cfg.input:
             try:
                 series = ingest_csv(path)
             except IngestError as exc:
@@ -664,17 +667,15 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
                     continue
                 if cfg.session_open is not None:
                     summary["detrended"] = True
-                try:  # as q rises intervals only thin out, so too few for 'conditional' here fail every q
-                    n_low = len(extract_intervals(vol, cfg.thresholds[0], session_ids))
-                except ValueError:  # no interval: under two events, or none in one session
-                    n_low = 0
-                n_seeds = cfg.ensemble if n_low >= memory.min_intervals(cfg.n_subsets) else 0
+                # n events leave at most n - 1 intervals, a higher q no more: too few here fail every q
+                n_events = np.count_nonzero(vol.values > cfg.q[0])
+                n_seeds = cfg.ensemble if n_events > memory.min_intervals(cfg.subsets) else 0
                 queued.append((summary, outdir, ex.submit(_analyze_one, vol, session_ids, cfg, outdir),
-                              [ex.submit(_seed_rows, vol, cfg.thresholds, cfg.seed + i)
+                              [ex.submit(_seed_rows, vol, cfg.q, cfg.seed + i)
                                for i in range(n_seeds)]))
 
         for summary, outdir, stages, seeds in queued:
-            for i, (q, outcome) in enumerate(zip(cfg.thresholds, stages.result() if stages else [])):
+            for i, (q, outcome) in enumerate(zip(cfg.q, stages.result() if stages else [])):
                 if not isinstance(outcome, dict):
                     stage, exc = outcome
                 else:  # q passed every stage, so the unit has seeds, each with a row per q

@@ -51,6 +51,8 @@ def correlated_gaussian(length: int, gamma: float, seed: int) -> np.ndarray:
     |x| is a long-range correlated volatility whose thresholds are in
     units of its standard deviation.
     """
+    if length < 2:  # no sample or one: no standard deviation to normalize by
+        raise ValueError("length must be >= 2")
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
     n = 1 << (length - 1).bit_length()

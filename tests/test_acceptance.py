@@ -189,8 +189,8 @@ def test_criterion_8_determinism_and_exactness(tmp_path):
                  "--seed", "3", "--out", str(csv)]) == 0
     outs = []
     for tag in ("a", "b"):
-        cfg = AnalysisConfig(inputs=[str(csv)], thresholds=[1.0, 2.0],
-                             seed=1, ensemble=5, out_dir=str(tmp_path / tag))
+        cfg = AnalysisConfig(input=[str(csv)], q=[1.0, 2.0],
+                             seed=1, ensemble=5, out=str(tmp_path / tag))
         run_pipeline(cfg)
         outs.append({p.relative_to(tmp_path / tag): p.read_bytes()
                      for p in (tmp_path / tag).rglob("*") if p.is_file()})

@@ -20,6 +20,7 @@ from volintervals import (
     intraday_detrend,
     pdf_estimate,
 )
+from volintervals.synthetic import correlated_gaussian
 
 DAY = np.timedelta64(1, "D")
 DAYS = np.arange("2000-01-01", "2000-01-04", dtype="datetime64[D]").astype("datetime64[s]")
@@ -78,6 +79,9 @@ GUARDS = {
                                                              [0, 1, 1]),
                               ValueError,
                               "session_ids has length 3 but the volatility has 2 samples"),
+    # an empty series, or [nan] from dividing by the zero deviation of one sample
+    "correlated_empty": (lambda: correlated_gaussian(0, 0.3, 0), ValueError, "length must be >= 2"),
+    "correlated_one": (lambda: correlated_gaussian(1, 0.3, 0), ValueError, "length must be >= 2"),
 }
 
 

@@ -147,7 +147,7 @@ def test_conditional_tables_match_per_block_oracle(correlated_vol, mode, n_bins)
     seq = extract_intervals(correlated_vol, 2.0)
     blocks = conditional_blocks(seq, 5)
     *pdfs, mean = _conditional_tables(
-        seq, AnalysisConfig(inputs=["x.csv"], n_subsets=5, binning=mode, n_bins=n_bins))
+        seq, AnalysisConfig(input=["x.csv"], subsets=5, binning=mode, bins=n_bins))
     assert [(t.stem, t.suffix) for t in pdfs] == [("conditional_pdf", f"_k{k}") for k in range(1, 6)]
     for block, t in zip(blocks[1], pdfs):
         want_x, want_y = pdf_estimate(block, seq.mean_interval, mode=mode, n_bins=n_bins)

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from volintervals import (
@@ -548,14 +548,14 @@ class TestSplitByDate:
         assert post.timestamps[0] >= np.datetime64("1990-01-01")
 
 
-# case id -> (AnalysisConfig keyword overrides, key the error must name)
+# case id -> (AnalysisConfig keyword overrides, a pattern of the error, which names the key)
 INVALID_CONFIGS = {
-    "empty_thresholds": ({"thresholds": []}, "threshold"),
-    "nan_threshold": ({"thresholds": [1.0, float("nan")]}, "thresholds"),
-    "inf_threshold": ({"thresholds": [float("inf")]}, "thresholds"),
-    "negative_threshold": ({"thresholds": [-1.0]}, "thresholds"),
-    "zero_subsets": ({"n_subsets": 0}, "n_subsets"),
-    "one_bin": ({"n_bins": 1}, "n_bins"),
+    "empty_thresholds": ({"q": []}, "^q must be"),
+    "nan_threshold": ({"q": [1.0, float("nan")]}, "^q must be"),
+    "inf_threshold": ({"q": [float("inf")]}, "^q must be"),
+    "negative_threshold": ({"q": [-1.0]}, "^q must be"),
+    "zero_subsets": ({"subsets": 0}, "^subsets must be >= 1, got 0"),
+    "one_bin": ({"bins": 1}, "^bins must be >= 2, got 1"),
     "unknown_binning": ({"binning": "log"}, "binning"),
     "zero_workers": ({"max_workers": 0}, "max_workers"),
     "zero_ensemble": ({"ensemble": 0}, "ensemble"),
@@ -575,8 +575,8 @@ INVALID_CONFIGS = {
     "close_not_hhmm": ({"session_open": "09:00", "session_close": "25:00"}, "session_close"),
     "open_after_close": ({"session_open": "15:00", "session_close": "09:00"}, "session_open"),
     # a library caller's wrong type was run rounded, or failed later with a TypeError
-    "float_subsets": ({"n_subsets": 2.5}, "n_subsets must be an integer, got 2.5"),
-    "float_bins": ({"n_bins": 2.5}, "n_bins must be an integer"),
+    "float_subsets": ({"subsets": 2.5}, "^subsets must be an integer, got 2.5"),
+    "float_bins": ({"bins": 2.5}, "^bins must be an integer"),
     "float_ensemble": ({"ensemble": 2.5}, "ensemble must be an integer"),
     "float_seed": ({"seed": 1.5}, "seed must be an integer"),
     "string_workers": ({"max_workers": "2"}, "max_workers must be an integer, got '2'"),
@@ -585,18 +585,18 @@ INVALID_CONFIGS = {
                                   "drop_session_gaps": "no"}, "drop_session_gaps must be True or False"),
     # a library caller's wrong type ended in a TypeError or AttributeError, was read
     # character by character, or was accepted and failed later
-    "string_threshold": ({"thresholds": ["1"]}, r"thresholds must be a .* numbers, got \['1'\]"),
+    "string_threshold": ({"q": ["1"]}, r"^q must be a .* numbers, got \['1'\]"),
     "integer_session_bounds": ({"session_open": 900, "session_close": 1500},
                                "session_open must be a string, got 900"),
     "integer_split_date": ({"split_date": 19900101}, "split_date must be a string, got 19900101"),
-    "string_inputs": ({"inputs": "ab.csv"}, "inputs must be a list of paths, got 'ab.csv'"),
-    "integer_inputs": ({"inputs": 5}, "inputs must be a list of paths, got 5"),
-    "integer_in_inputs": ({"inputs": ["a.csv", 5]}, "inputs must be paths, got 5"),
-    "integer_thresholds": ({"thresholds": 1}, "thresholds must be a .* numbers, got 1"),
+    "string_inputs": ({"input": "ab.csv"}, "^input must be a list of paths, got 'ab.csv'"),
+    "integer_inputs": ({"input": 5}, "^input must be a list of paths, got 5"),
+    "integer_in_inputs": ({"input": ["a.csv", 5]}, "^input must be paths, got 5"),
+    "integer_thresholds": ({"q": 1}, "^q must be a .* numbers, got 1"),
     # a bool is an int, so True ran as q = 1 or as 1 seed
-    "bool_threshold": ({"thresholds": [True]}, r"thresholds must be a .* numbers, got \[True\]"),
+    "bool_threshold": ({"q": [True]}, r"^q must be a .* numbers, got \[True\]"),
     "bool_ensemble": ({"ensemble": True}, "ensemble must be an integer, got True"),
-    "integer_out_dir": ({"out_dir": 5}, "out_dir must be a path, got 5"),
+    "integer_out_dir": ({"out": 5}, "^out must be a path, got 5"),
 }
 
 
@@ -604,8 +604,8 @@ INVALID_CONFIGS = {
 def pipeline_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipe")
     csv = synth_csv(tmp / "inst.csv", length=20000, kind="correlated", seed=1)
-    cfg = AnalysisConfig(inputs=[str(csv)], thresholds=[1.0, 2.0],
-                         seed=0, ensemble=5, out_dir=str(tmp / "out"))
+    cfg = AnalysisConfig(input=[str(csv)], q=[1.0, 2.0],
+                         seed=0, ensemble=5, out=str(tmp / "out"))
     report = run_pipeline(cfg)
     return tmp, cfg, report
 
@@ -634,15 +634,21 @@ class TestRunPipeline:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ConfigError, match=key):
-                AnalysisConfig(**{"inputs": ["x.csv"], "thresholds": [1.0], **override})
+                AnalysisConfig(**{"input": ["x.csv"], "q": [1.0], **override})
         # the error says what is wrong; a warning about time zones would mislead
         assert not [w for w in caught if "representation of timezones" in str(w.message)]
 
     def test_numpy_integers_are_accepted_as_ints(self):
-        keys = ("n_bins", "n_subsets", "seed", "ensemble", "max_workers")
-        cfg = AnalysisConfig(inputs=["x.csv"], **{k: np.int64(3) for k in keys})
+        keys = ("bins", "subsets", "seed", "ensemble", "max_workers")
+        cfg = AnalysisConfig(input=["x.csv"], **{k: np.int64(3) for k in keys})
         assert all(type(getattr(cfg, k)) is int and getattr(cfg, k) == 3 for k in keys)
-        assert cfg == AnalysisConfig(inputs=["x.csv"], **{k: 3 for k in keys})
+        assert cfg == AnalysisConfig(input=["x.csv"], **{k: 3 for k in keys})
+
+    def test_numpy_arrays_are_accepted_as_lists(self):
+        # the checks once took the truth value of an array of two, which raised
+        cfg = AnalysisConfig(input=np.array(["a.csv", "b.csv"]), q=np.array([2.0, 1.0]))
+        assert type(cfg.input) is list and type(cfg.q) is list
+        assert cfg == AnalysisConfig(input=["a.csv", "b.csv"], q=[1.0, 2.0])
 
     def test_json_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
@@ -651,11 +657,11 @@ class TestRunPipeline:
 
     def test_deterministic_reruns_byte_identical(self, pipeline_run, tmp_path):
         tmp, cfg, _ = pipeline_run
-        cfg2 = AnalysisConfig(inputs=cfg.inputs, thresholds=cfg.thresholds,
+        cfg2 = AnalysisConfig(input=cfg.input, q=cfg.q,
                               seed=cfg.seed, ensemble=cfg.ensemble,
-                              out_dir=str(tmp_path / "out2"))
+                              out=str(tmp_path / "out2"))
         run_pipeline(cfg2)
-        base = Path(cfg.out_dir)
+        base = Path(cfg.out)
         for f in sorted((tmp_path / "out2").rglob("*")):
             if f.is_file():
                 rel = f.relative_to(tmp_path / "out2")
@@ -663,18 +669,18 @@ class TestRunPipeline:
 
     def test_per_q_outputs_independent(self, pipeline_run, tmp_path):
         tmp, cfg, _ = pipeline_run
-        cfg2 = AnalysisConfig(inputs=cfg.inputs, thresholds=[1.0],
+        cfg2 = AnalysisConfig(input=cfg.input, q=[1.0],
                               seed=cfg.seed, ensemble=cfg.ensemble,
-                              out_dir=str(tmp_path / "only_q1"))
+                              out=str(tmp_path / "only_q1"))
         run_pipeline(cfg2)
-        base = Path(cfg.out_dir) / "inst" / "q1"
+        base = Path(cfg.out) / "inst" / "q1"
         for f in sorted((tmp_path / "only_q1" / "inst" / "q1").glob("*")):
             assert f.read_bytes() == (base / f.name).read_bytes(), f.name
 
     def test_period_split_trees_have_identical_schema(self, tmp_path):
         csv = synth_csv(tmp_path / "inst.csv", length=20000, kind="correlated", seed=2)
-        cfg = AnalysisConfig(inputs=[str(csv)], thresholds=[1.0], ensemble=3,
-                             split_date="2005-01-01", out_dir=str(tmp_path / "out"))
+        cfg = AnalysisConfig(input=[str(csv)], q=[1.0], ensemble=3,
+                             split_date="2005-01-01", out=str(tmp_path / "out"))
         report = run_pipeline(cfg)
         assert report["exit_code"] == 0
         pre = sorted(p.relative_to(tmp_path / "out" / "inst" / "pre")
@@ -688,8 +694,8 @@ class TestRunPipeline:
         csv = synth_csv(tmp_path / "inst.csv", length=20000, kind="correlated", seed=1)
         out = tmp_path / "out"
         # q=3.5 has 11 events: extraction passes, 8 conditional subsets need 17 intervals
-        cfg = AnalysisConfig(inputs=[str(csv)], thresholds=[3.5, 1.0], ensemble=5,
-                             out_dir=str(out))
+        cfg = AnalysisConfig(input=[str(csv)], q=[3.5, 1.0], ensemble=5,
+                             out=str(out))
         report = run_pipeline(cfg)
         assert report["errors"] == [{
             "error": "need at least 17 intervals for 8 subsets, have 10",
@@ -745,8 +751,8 @@ class TestRunPipeline:
     def test_errors_attributed_and_pipeline_continues(self, tmp_path):
         csv = synth_csv(tmp_path / "inst.csv", length=2000, kind="iid", seed=4)
         # q=50 yields no events; q=1 still succeeds
-        cfg = AnalysisConfig(inputs=[str(csv)], thresholds=[1.0, 50.0], ensemble=2,
-                             out_dir=str(tmp_path / "out"))
+        cfg = AnalysisConfig(input=[str(csv)], q=[1.0, 50.0], ensemble=2,
+                             out=str(tmp_path / "out"))
         report = run_pipeline(cfg)
         assert report["exit_code"] == 1
         assert any(e["q"] == 50.0 and e["stage"] == "extract" for e in report["errors"])
@@ -770,7 +776,7 @@ class TestRunPipeline:
     def test_session_gaps_around_every_interval_fail_extract_with_the_event_count(self, tmp_path):
         # 4 events, one in each of 4 sessions: every interval spans a session gap
         vol = VolatilitySeries(np.tile([2.0, 0.5, 0.5], 4))
-        cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0], session_open="09:00",
+        cfg = AnalysisConfig(input=["x.csv"], q=[1.0], session_open="09:00",
                              session_close="15:00", drop_session_gaps=True)
         [(stage, exc)] = _analyze_one(vol, np.repeat(np.arange(4), 3), cfg, tmp_path)
         assert stage == "extract"
@@ -784,8 +790,8 @@ class TestRunPipeline:
         report = json.loads((out / "report.json").read_text())
         assert [(e["q"], e["stage"]) for e in report["errors"]] == [(50.0, "extract")]
         assert list(report["instruments"][0]["per_q"]) == ["1"]
-        cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[2.0, 1.0, 2.0, 1.0])
-        assert cfg.thresholds == [1.0, 2.0]
+        cfg = AnalysisConfig(input=["x.csv"], q=[2.0, 1.0, 2.0, 1.0])
+        assert cfg.q == [1.0, 2.0]
 
     def test_failed_volatility_does_not_stop_other_inputs(self, tmp_path):
         good = synth_csv(tmp_path / "good.csv", length=2000, kind="iid", seed=8)
@@ -838,7 +844,7 @@ class TestRunPipeline:
         monkeypatch.setattr(volintervals.memory, "conditional_blocks",
                             lambda seq, n: calls.append(seq.threshold_q) or blocks(seq, n))
         prices = ingest_csv(synth_csv(tmp_path / "inst.csv", length=20000, seed=1))
-        cfg = AnalysisConfig(inputs=["inst.csv"], thresholds=[1.0, 2.0], ensemble=2)
+        cfg = AnalysisConfig(input=["inst.csv"], q=[1.0, 2.0], ensemble=2)
         outcomes = _analyze_one(*_volatility(prices, cfg), cfg, tmp_path / "out")
         assert [sorted(o) for o in outcomes] == [["count", "geometric_deviation", "mean_interval"]] * 2
         assert calls == [1.0] * 2 + [2.0] * 2
@@ -855,8 +861,8 @@ class TestRunPipeline:
         csv.write_text("timestamp,price\n" + "".join(
             f"2000-01-{d:02d}T00:00:00,{100 + d}\n" for d in range(1, 14)))
         out = tmp_path / "out"
-        cfg = AnalysisConfig(inputs=[str(csv)], thresholds=[6.0, 1.0, 0.5], n_subsets=1,
-                             ensemble=8, out_dir=str(out))
+        cfg = AnalysisConfig(input=[str(csv)], q=[6.0, 1.0, 0.5], subsets=1,
+                             ensemble=8, out=str(out))
         report = run_pipeline(cfg)
         assert [(e["q"], e["stage"]) for e in report["errors"]] == \
             [(1.0, "surrogate"), (6.0, "extract")]
@@ -897,7 +903,7 @@ class TestSurrogateEnvelopes:
 
     def test_matches_per_threshold_loop(self):
         vol = VolatilitySeries(np.abs(correlated_gaussian(2**14, 0.3, seed=2)))
-        cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0], seed=11, ensemble=6)
+        cfg = AnalysisConfig(input=["x.csv"], q=[1.0], seed=11, ensemble=6)
         got = self.assert_matches_per_threshold(vol, [1.0, 1.5, 2.0], cfg)
         assert all(env.shape == (15, 4) for env in got.values())
 
@@ -905,7 +911,7 @@ class TestSurrogateEnvelopes:
         # q=1 has 3 events: a seed that spaces them evenly leaves both intervals
         # at the median; q=0.5 has 10 events and an above-median run in every seed
         vol = VolatilitySeries(np.array([5, 5, 0, 5, 0.7, 0.7, 0, 0.7, 0.7, 0.7, 0.7, 0.7]))
-        cfg = AnalysisConfig(inputs=["x.csv"], thresholds=[1.0], ensemble=8)
+        cfg = AnalysisConfig(input=["x.csv"], q=[1.0], ensemble=8)
         got = self.assert_matches_per_threshold(vol, [0.5, 1.0], cfg)
         assert str(got[1.0]) == "no above-median clusters"
         assert got[0.5].shape == (15, 4)
@@ -938,8 +944,8 @@ def test_surrogate_seeds_run_on_pool_threads(tmp_path, monkeypatch):
     monkeypatch.setattr(volintervals.pipeline, "shuffle_volatility", slow_shuffle)
     monkeypatch.setattr(volintervals.pipeline, "_usable_cpus", lambda: 3)
     csv = synth_csv(tmp_path / "inst.csv", length=4000, seed=2)
-    report = run_pipeline(AnalysisConfig(inputs=[str(csv)], thresholds=[1.0], ensemble=16,
-                                         max_workers=3, out_dir=str(tmp_path / "out")))
+    report = run_pipeline(AnalysisConfig(input=[str(csv)], q=[1.0], ensemble=16,
+                                         max_workers=3, out=str(tmp_path / "out")))
     assert report["exit_code"] == 0
     assert len(threads) > 1
 
@@ -961,8 +967,8 @@ def test_seeds_start_while_their_unit_runs_its_stages(tmp_path, monkeypatch):
     monkeypatch.setattr(volintervals.pipeline, "_seed_rows", noting_seed_rows)
     monkeypatch.setattr(volintervals.pipeline, "_usable_cpus", lambda: 2)
     csv = synth_csv(tmp_path / "inst.csv", length=3000, seed=1)
-    report = run_pipeline(AnalysisConfig(inputs=[str(csv)], thresholds=[1.0], ensemble=4,
-                                         max_workers=2, out_dir=str(tmp_path / "out")))
+    report = run_pipeline(AnalysisConfig(input=[str(csv)], q=[1.0], ensemble=4,
+                                         max_workers=2, out=str(tmp_path / "out")))
     assert report["exit_code"] == 0
     assert seen == [True]
 
@@ -994,8 +1000,8 @@ def test_unit_without_intervals_at_any_threshold_shuffles_nothing(tmp_path, monk
                         lambda vol, seed: seeds.append(seed) or shuffle(vol, seed))
     csv = synth_csv(tmp_path / "inst.csv", length=2000, kind="iid", seed=4)
     out = tmp_path / "out"
-    report = run_pipeline(AnalysisConfig(inputs=[str(csv)], thresholds=[50.0, 60.0], ensemble=10,
-                                         out_dir=str(out)))
+    report = run_pipeline(AnalysisConfig(input=[str(csv)], q=[50.0, 60.0], ensemble=10,
+                                         out=str(out)))
     assert [(e["q"], e["stage"]) for e in report["errors"]] == [(50.0, "extract"), (60.0, "extract")]
     assert json.loads((out / "inst" / "summary.json").read_text())["per_q"] == {}
     assert seeds == []
@@ -1009,8 +1015,8 @@ def test_unit_too_sparse_for_conditional_at_any_threshold_shuffles_nothing(tmp_p
                         lambda vol, seed: seeds.append(seed) or shuffle(vol, seed))
     csv = synth_csv(tmp_path / "inst.csv", length=2000, kind="iid", seed=4)
     out = tmp_path / "out"
-    report = run_pipeline(AnalysisConfig(inputs=[str(csv)], thresholds=[2.9, 3.1], ensemble=10,
-                                         out_dir=str(out)))
+    report = run_pipeline(AnalysisConfig(input=[str(csv)], q=[2.9, 3.1], ensemble=10,
+                                         out=str(out)))
     assert [(e["q"], e["stage"]) for e in report["errors"]] == [(2.9, "conditional"),
                                                                 (3.1, "conditional")]
     assert json.loads((out / "inst" / "summary.json").read_text())["per_q"] == {}
@@ -1032,8 +1038,8 @@ def test_threshold_with_two_intervals_per_subset_fails_conditional(tmp_path, mon
     csv.write_text("timestamp,price\n" + "".join(
         f"2000-01-{d:02d}T00:00:00,{100 + d}\n" for d in range(1, 14)))
     out = tmp_path / "out"
-    report = run_pipeline(AnalysisConfig(inputs=[str(csv)], thresholds=[1.0], ensemble=4,
-                                         out_dir=str(out)))
+    report = run_pipeline(AnalysisConfig(input=[str(csv)], q=[1.0], ensemble=4,
+                                         out=str(out)))
     assert report["errors"] == [{"instrument": "inst", "q": 1.0, "stage": "conditional",
                                  "error": "need at least 17 intervals for 8 subsets, have 16"}]
     assert seeds == []
@@ -1088,24 +1094,28 @@ def test_many_units_on_two_workers_with_constant_thread_switches(tmp_path):
     # 6 units on 2 threads, then their seeds, with the GIL handed over as
     # often as possible to shake out ordering bugs
     inputs = [str(synth_csv(tmp_path / f"i{k}.csv", length=3000, seed=k)) for k in range(3)]
-    cfg = dict(inputs=inputs, thresholds=[1.0, 1.5], ensemble=12, split_date="1990-01-01")
-    run_pipeline(AnalysisConfig(**cfg, max_workers=1, out_dir=str(tmp_path / "serial")))
+    cfg = dict(input=inputs, q=[1.0, 1.5], ensemble=12, split_date="1990-01-01")
+    run_pipeline(AnalysisConfig(**cfg, max_workers=1, out=str(tmp_path / "serial")))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         report = _finish_within(120, lambda: run_pipeline(
-            AnalysisConfig(**cfg, max_workers=2, out_dir=str(tmp_path / "pooled"))))
+            AnalysisConfig(**cfg, max_workers=2, out=str(tmp_path / "pooled"))))
     finally:
         sys.setswitchinterval(interval)
     assert report["exit_code"] == 0 and len(report["instruments"]) == 6
     assert _tree(tmp_path / "pooled") == _tree(tmp_path / "serial")
 
 
+# the characters at which str.splitlines ends a line
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 class TestConfigFile:
     def test_byte_order_mark_is_dropped(self, tmp_path):
         f = tmp_path / "cfg"
         f.write_bytes(b"\xef\xbb\xbfinput = a.csv\nq = 2\n")
-        assert load_config(f) == AnalysisConfig(inputs=["a.csv"], thresholds=[2.0])
+        assert load_config(f) == AnalysisConfig(input=["a.csv"], q=[2.0])
 
     def test_round_trip(self, tmp_path):
         f = tmp_path / "cfg"
@@ -1114,11 +1124,11 @@ class TestConfigFile:
             "subsets = 4\nseed = 7\nensemble = 9\nout = results\n"
             "session_open = 09:00\nsession_close = 15:00\ndrop_session_gaps = true\n")
         cfg = load_config(f)
-        assert cfg.inputs == ["a.csv", "b.csv"]
-        assert cfg.thresholds == [1.0, 1.5]
-        assert cfg.n_bins == 20 and cfg.n_subsets == 4
+        assert cfg.input == ["a.csv", "b.csv"]
+        assert cfg.q == [1.0, 1.5]
+        assert cfg.bins == 20 and cfg.subsets == 4
         assert cfg.seed == 7 and cfg.ensemble == 9
-        assert cfg.out_dir == "results"
+        assert cfg.out == "results"
         assert (cfg.session_open, cfg.session_close) == ("09:00", "15:00")
         assert cfg.drop_session_gaps
 
@@ -1159,7 +1169,7 @@ class TestConfigFile:
     def test_unset_keys_keep_analysis_defaults(self, tmp_path):
         f = tmp_path / "cfg"
         f.write_text("input = a.csv\n")
-        assert load_config(f) == AnalysisConfig(inputs=["a.csv"])
+        assert load_config(f) == AnalysisConfig(input=["a.csv"])
 
     def test_an_exported_out_variable_redirects_no_command(self, tmp_path, monkeypatch):
         # the output directory is the default, `out =` or --out, and no environment variable
@@ -1171,6 +1181,25 @@ class TestConfigFile:
         assert main(["intervals", str(csv), "--q", "1", "--out", str(tmp_path / "o2")]) == 0
         assert (tmp_path / "o2" / "intervals_q1.tsv").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "o2", "s.csv"]
+
+    @pytest.mark.long_search
+    @given(key=st.sampled_from([k for k in AnalysisConfig.__dataclass_fields__ if k != "input"]),
+           value=st.one_of(st.sampled_from(["0", "1", "-1", "2.5", "1,2", "nan", "true", "no", "linear",
+                                            "09:00", "1990-01-01"]),
+                           st.integers().map(str), st.floats().map(str),
+                           st.text(st.characters(codec="utf-8", exclude_characters=LINE_BREAKS), max_size=12)))
+    @example(key="q", value="0")
+    @example(key="bins", value="1")
+    @example(key="subsets", value="0")
+    def test_any_setting_line_is_a_config_or_an_error_naming_its_key(self, tmp_path_factory, key, value):
+        f = tmp_path_factory.mktemp("cfg") / "c.cfg"
+        f.write_text(f"input = a.csv\n{key} = {value}\n", encoding="utf-8")
+        try:
+            cfg = load_config(f)
+        except ConfigError as exc:
+            assert re.search(rf"\b{key}\b", str(exc)), str(exc)
+        else:
+            assert isinstance(cfg, AnalysisConfig)
 
 
 # a blank value names no file, so before it was rejected the run read "." or wrote into
@@ -1191,12 +1220,12 @@ class TestBlankValues:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "c.cfg"]
 
     @pytest.mark.parametrize("argv, err", [
-        (["analyze", "a.csv", "--out", ""], "out_dir must not be blank, got ''"),
-        (["analyze", "a.csv", "--out", " "], "out_dir must not be blank, got ' '"),
+        (["analyze", "a.csv", "--out", ""], "out must not be blank, got ''"),
+        (["analyze", "a.csv", "--out", " "], "out must not be blank, got ' '"),
         (["analyze", "a.csv", "--split-date", ""], f"split_date: bad timestamp '': {TIMESTAMP_RULE}"),
-        (["analyze", ""], "inputs must not be blank, got ''"),
-        (["analyze", "a.csv", ""], "inputs must not be blank, got ''"),
-        (["intervals", "a.csv", "--out", ""], "out_dir must not be blank, got ''"),
+        (["analyze", ""], "input must not be blank, got ''"),
+        (["analyze", "a.csv", ""], "input must not be blank, got ''"),
+        (["intervals", "a.csv", "--out", ""], "out must not be blank, got ''"),
         (["split", "a.csv", "--split-date", "1984-06-01", "--out", ""], "--out must not be blank, got ''"),
         (["synth", "--out", ""], "--out must not be blank, got ''"),
     ], ids=["out", "out_space", "split_date", "input", "second_input", "stage_out", "split_out",
@@ -1208,9 +1237,9 @@ class TestBlankValues:
         assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
     @pytest.mark.parametrize("override, err", [
-        ({"inputs": [""]}, "inputs must not be blank, got ''"),
-        ({"inputs": ["a.csv", "\t"]}, "inputs must not be blank, got '\\t'"),
-        ({"out_dir": ""}, "out_dir must not be blank, got ''"),
+        ({"input": [""]}, "input must not be blank, got ''"),
+        ({"input": ["a.csv", "\t"]}, "input must not be blank, got '\\t'"),
+        ({"out": ""}, "out must not be blank, got ''"),
         ({"split_date": ""}, f"split_date: bad timestamp '': {TIMESTAMP_RULE}"),
         # a blank session bound is a bound that is not HH:MM, not a session left out
         ({"session_open": "", "session_close": ""}, "session_open must be HH:MM, got ''"),
@@ -1223,13 +1252,28 @@ class TestBlankValues:
     def test_analysis_config(self, tmp_path, monkeypatch, override, err):
         _only_the_input_in_cwd(tmp_path, monkeypatch)
         with pytest.raises(ConfigError) as exc:
-            run_pipeline(AnalysisConfig(**{"inputs": ["a.csv"], "thresholds": [1.0], "ensemble": 2,
+            run_pipeline(AnalysisConfig(**{"input": ["a.csv"], "q": [1.0], "ensemble": 2,
                                            **override}))
         assert str(exc.value) == err
         assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
 
 class TestCli:
+    # a config line, a typed flag and a library keyword share one name, the one the error
+    # gives; TestBlankValues has `--out ""`
+    @pytest.mark.parametrize("line, flags, err", [
+        ("bins = 1", [], "bins must be >= 2, got 1"),
+        ("", ["--bins", "1"], "bins must be >= 2, got 1"),
+        ("", ["--q", "0"], "q must be a non-empty list of finite, positive numbers, got [0.0]"),
+    ], ids=["bins_line", "bins_flag", "q_flag"])
+    def test_invalid_value_exits_2_naming_its_key(self, tmp_path, monkeypatch, capsys, line, flags, err):
+        monkeypatch.chdir(tmp_path)  # where the default `out` would be written
+        config = tmp_path / "c.cfg"
+        config.write_text(f"input = a.csv\n{line}\n")
+        assert main(["analyze", "--config", str(config), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
+
     def test_intervals_subcommand(self, tmp_path, capsys):
         csv = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=5)
         rc = main(["intervals", str(csv), "--q", "1.0", "--out", str(tmp_path / "o")])
@@ -1485,7 +1529,7 @@ class TestCli:
         else:
             flags += [str(a), str(b)]
         assert main(["analyze", *flags]) == 2
-        assert capsys.readouterr().err == (f"error: inputs {a} and {b} share the file stem 'x', "
+        assert capsys.readouterr().err == (f"error: input {a} and {b} share the file stem 'x', "
                                            "which names their output directory\n")
         assert not out.exists()
 
@@ -1516,7 +1560,7 @@ class TestCli:
         csv = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=5)
         out = tmp_path / "o"
         assert main([command, str(csv), "--q", "1.0000001", "--q", "2", "--q", "1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: thresholds 1.0 and 1.0000001 both print as '1'\n"
+        assert capsys.readouterr().err == "error: q 1.0 and 1.0000001 both print as '1'\n"
         assert not out.exists()
 
     def test_analyze_prints_thresholds_in_ascending_order(self, tmp_path, capsys):
