@@ -67,6 +67,15 @@ class IngestError(ValueError):
 _INT_LEAST = {"bins": 2, "subsets": 1, "seed": 0, "ensemble": 1, "max_workers": 1}
 
 
+def _items(value) -> list | None:
+    """`value` as a list (a numpy array has no truth value), or None if it
+    cannot be iterated, as a number or a 0-d array cannot."""
+    try:
+        return list(value)
+    except TypeError:
+        return None
+
+
 @dataclass
 class AnalysisConfig:
     """The settings of a run; each field is named by its config-file key."""
@@ -87,9 +96,9 @@ class AnalysisConfig:
 
     def __post_init__(self):
         # a string's characters would be read as files
-        if isinstance(self.input, (str, os.PathLike)) or not hasattr(self.input, "__iter__"):
+        if isinstance(self.input, (str, os.PathLike)) or (items := _items(self.input)) is None:
             raise ConfigError(f"input must be a list of paths, got {self.input!r}")
-        self.input = list(self.input)  # a numpy array has no truth value
+        self.input = items
         if not self.input:
             raise ConfigError("no input files configured")
         first: dict = {}  # file stem -> the input that has it; out/{stem}/ holds its outputs
@@ -110,7 +119,7 @@ class AnalysisConfig:
             raise ConfigError(f"out must be a path, got {self.out!r}")
         if not str(self.out).strip():
             raise ConfigError(f"out must not be blank, got {self.out!r}")
-        qs = list(self.q) if hasattr(self.q, "__iter__") else []
+        qs = _items(self.q)
         if not qs or not all(isinstance(q, numbers.Real) and not isinstance(q, bool) and math.isfinite(q)
                              and q > 0 for q in qs):
             raise ConfigError(f"q must be a non-empty list of finite, positive numbers, got {self.q!r}")
@@ -343,14 +352,17 @@ def ingest_csv(path) -> PriceSeries:
         ts, p, lines = _read_plain(path) or _read_rows(path)
     except OSError as exc:  # e.g. no read permission
         raise IngestError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    order = np.argsort(ts, kind="stable")
-    if not np.array_equal(order, np.arange(ts.size)):
-        warnings.warn(f"{path}: timestamps out of order; sorting")
-        ts, p = ts[order], p[order]
     steps = np.diff(ts).astype(np.int64)  # seconds
+    order = None  # the rows' file order, where they had to be sorted
+    if steps.min() < 0:
+        warnings.warn(f"{path}: timestamps out of order; sorting")
+        order = np.argsort(ts, kind="stable")
+        ts, p = ts[order], p[order]
+        steps = np.diff(ts).astype(np.int64)
     dup = np.flatnonzero(steps == 0)
     if dup.size:
-        raise IngestError(f"{path}: line {lines[order[dup[0] + 1]]}: "
+        row = dup[0] + 1
+        raise IngestError(f"{path}: line {lines[row if order is None else order[row]]}: "
                           f"duplicate timestamp {ts[dup[0]]}")
     step = np.median(steps)
     return PriceSeries(
@@ -402,7 +414,7 @@ def _atomic(path):
     tmp = path.with_name("." + path.name + ".tmp")
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -566,25 +578,49 @@ def _volatility(prices: PriceSeries, cfg: AnalysisConfig):
     return intraday_detrend(vol, pattern, slots), session_ids if cfg.drop_session_gaps else None
 
 
+def _thresholds(vol, session_ids, cfg: AnalysisConfig, stages, path) -> Iterator[tuple]:
+    """Per q of cfg.q, ascending: extract its intervals, run the STAGES named in
+    `stages` on them, in that order, and write each table to path(q, table).
+
+    Yields the q, its intervals (None if extraction failed), and its interval
+    count, mean interval and distance from the geometric law, or the
+    (stage, error) that stopped it. A q is run only when the one before it
+    has been taken.
+    """
+    for q in cfg.q:
+        stage, seq = "extract", None
+        try:
+            seq = extract_intervals(vol, q, session_ids)
+            for stage in stages:
+                for t in STAGES[stage](seq, cfg):
+                    _write_tsv(path(q, t), t.header, t.columns)
+            outcome = {"count": len(seq), "mean_interval": seq.mean_interval,
+                       "geometric_deviation": geometric_deviation(seq)}
+        except ValueError as exc:  # e.g. too few events, or too few intervals for the subsets
+            outcome = (stage, exc)
+        yield q, seq, outcome
+
+
 def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
     """Run stage `name` on cfg.input[0] per threshold, writing under cfg.out.
 
     Yields the subcommand's report lines as they become known: each
     threshold's mean interval and geometric deviation for `pdf`, the counts
     (also written to intervals_summary.json) for `intervals`, and where the
-    files went for the others. The first failing threshold raises.
+    files went for the others. The first failing threshold raises, and no
+    later threshold is run.
     """
     out = Path(cfg.out)
     vol, session_ids = _volatility(ingest_csv(cfg.input[0]), cfg)
     counts = []
-    for q in cfg.q:
-        seq = extract_intervals(vol, q, session_ids)
-        for t in STAGES[name](seq, cfg):
-            _write_tsv(out / f"{t.stem}_q{q:g}{t.suffix}.tsv", t.header, t.columns)
-        counts.append({"q": q, "count": len(seq), "mean_interval": seq.mean_interval})
+    for q, _, outcome in _thresholds(vol, session_ids, cfg, (name,),
+                                     lambda q, t: out / f"{t.stem}_q{q:g}{t.suffix}.tsv"):
+        if not isinstance(outcome, dict):
+            raise outcome[1]
+        counts.append({"q": q, "count": outcome["count"], "mean_interval": outcome["mean_interval"]})
         if name == "pdf":
-            yield (f"q={q:g}: mean_interval={_fmt(seq.mean_interval)} "
-                   f"geometric_deviation={_fmt(geometric_deviation(seq))}")
+            yield (f"q={q:g}: mean_interval={_fmt(outcome['mean_interval'])} "
+                   f"geometric_deviation={_fmt(outcome['geometric_deviation'])}")
     if name == "intervals":
         _write_json(out / "intervals_summary.json", counts)
         yield json.dumps(counts)
@@ -597,18 +633,11 @@ def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
     Returns per threshold its interval count, mean interval and distance from the
     geometric law, or the (stage, error) that stopped it."""
     seqs, outcomes = {}, []
-    for q in cfg.q:
-        stage = "extract"
-        try:
-            seq = extract_intervals(vol, q, session_ids)
+    for q, seq, outcome in _thresholds(vol, session_ids, cfg, STAGES,
+                                       lambda q, t: outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv"):
+        if seq is not None:  # extracted: in the matrix even if a later stage failed
             seqs[q] = seq
-            for stage, tables in STAGES.items():
-                for t in tables(seq, cfg):
-                    _write_tsv(outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv", t.header, t.columns)
-            outcomes.append({"count": len(seq), "mean_interval": seq.mean_interval,
-                             "geometric_deviation": geometric_deviation(seq)})
-        except ValueError as exc:  # e.g. too few events, or too few intervals for the subsets
-            outcomes.append((stage, exc))
+        outcomes.append(outcome)
 
     if len(seqs) >= 2:  # in ascending q, as cfg.q is
         mat = collapse_distance(list(seqs.values()))

@@ -9,6 +9,7 @@ which is the test bed for every scaling/memory claim.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,10 @@ def correlated_gaussian(length: int, gamma: float, seed: int) -> np.ndarray:
     |x| is a long-range correlated volatility whose thresholds are in
     units of its standard deviation.
     """
+    try:  # numpy integers pass, floats do not
+        length = operator.index(length)
+    except TypeError:
+        raise TypeError(f"length must be an integer, got {length!r}") from None
     if length < 2:  # no sample or one: no standard deviation to normalize by
         raise ValueError("length must be >= 2")
     if not 0 < gamma < 1:

@@ -597,6 +597,9 @@ INVALID_CONFIGS = {
     "bool_threshold": ({"q": [True]}, r"^q must be a .* numbers, got \[True\]"),
     "bool_ensemble": ({"ensemble": True}, "ensemble must be an integer, got True"),
     "integer_out_dir": ({"out": 5}, "^out must be a path, got 5"),
+    # a 0-d array has __iter__ but cannot be iterated: a TypeError escaped
+    "zero_d_array_threshold": ({"q": np.array(1.0)}, r"^q must be a .* numbers, got array\(1\.\)"),
+    "zero_d_array_inputs": ({"input": np.array("a.csv")}, r"^input must be a list of paths, got array\('a.csv'"),
 }
 
 
@@ -1296,6 +1299,21 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "o" / "conditional_pdf_q1_k4.tsv").exists()
         assert (tmp_path / "o" / "conditional_mean_q1.tsv").exists()
+
+    @pytest.mark.parametrize("command, stdout", [
+        ("pdf", r"q=1: mean_interval=\S+ geometric_deviation=\S+\n"),
+        ("intervals", ""),  # its counts are printed, and written, only once every q passed
+    ])
+    def test_subcommand_stops_at_its_first_failing_threshold(self, tmp_path, capsys, command, stdout):
+        csv = synth_csv(tmp_path / "s.csv", length=5000, kind="iid", seed=5)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([command, str(csv), "--q", "1", "--q", "50", "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert re.fullmatch(stdout, printed.out)
+        assert printed.err == "error: threshold q=50: found 0 event(s), need at least 2\n"
+        stem = {"pdf": "scaled_pdf", "intervals": "intervals"}[command]
+        assert [p.name for p in out.iterdir()] == [f"{stem}_q1.tsv"]
 
     def test_clusters_subcommand(self, tmp_path):
         csv = synth_csv(tmp_path / "s.csv", length=20000, kind="correlated", seed=5)

@@ -83,6 +83,15 @@ class TestLongRangeCorrelated:
         with pytest.raises(ValueError):
             correlated_gaussian(1024, gamma, seed=0)
 
+    # an AttributeError escaped both: a numpy integer has no bit_length
+    @pytest.mark.parametrize("length", [np.int64(8), 2.5], ids=["numpy_integer", "float"])
+    def test_length_is_taken_as_an_index(self, length):
+        if isinstance(length, float):
+            with pytest.raises((TypeError, ValueError), match="length"):
+                correlated_gaussian(length, 0.3, 0)
+        else:
+            assert np.array_equal(correlated_gaussian(length, 0.3, 0), correlated_gaussian(8, 0.3, 0))
+
 
 class TestImposePattern:
     def test_all_ones_is_identity(self):
