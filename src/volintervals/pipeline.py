@@ -266,49 +266,39 @@ def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray, list[int]]:
             raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise IngestError(f"{path}: line {_first_non_utf8_line(path)}: not UTF-8 text") from exc
-    if len(prices) < 2:
-        raise IngestError(f"{path}: need at least 2 rows")
     return np.array(timestamps, dtype="datetime64[s]"), np.array(prices), lines
 
 
-# bytes read per chunk of the array path: the lists of one chunk's cells are
-# its transient memory (the whole file split at once doubled the peak RSS).
-# Two chunks make the csv module's default field limit, which no line of a
-# plain file reaches.
+# bytes read per block of the array path, each then completed to the end of its
+# last line: the lists of one block's cells are its transient memory (the whole
+# file split at once doubled the peak RSS). Two blocks make the csv module's
+# default field limit, which no line of a plain file reaches.
 _CHUNK_BYTES = 1 << 16
-
-
-def _chunks(fh) -> Iterator[bytes]:
-    """Whole lines, about _CHUNK_BYTES at a time, the last given a line end if it
-    has none; b"" once a line outgrows a chunk."""
-    rest = b""
-    while block := fh.read(_CHUNK_BYTES):
-        chunk = rest + block
-        cut = chunk.rfind(b"\n") + 1
-        chunk, rest = chunk[:cut], chunk[cut:]
-        if chunk or len(rest) > _CHUNK_BYTES:
-            yield chunk
-    if rest:
-        yield rest + b"\n"
 
 
 def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray, range] | None:
     """Timestamps, prices and file lines of a plain CSV's rows, parsed as arrays
-    a chunk at a time; None for anything else, which is left to _read_rows.
+    a block at a time; None for anything else, which is left to _read_rows.
 
-    Plain is the exact header `timestamp,price`, then ASCII lines shorter
-    than two chunks of exactly two fields, without carriage returns. All
-    timestamps have _PLAIN_SHAPES and parse, in years 1-9999, and all prices
-    (so none quoted) parse as finite and positive; there are at least 2 rows.
-    Such a file is one that _read_rows reads, to the same arrays; its rows
-    are its lines after the header.
+    Plain is the exact header `timestamp,price`, then ASCII lines of exactly
+    two fields, without carriage returns, each ending within _CHUNK_BYTES of
+    the end of the block it starts in. All timestamps have _PLAIN_SHAPES and
+    parse, in years 1-9999, and all prices (so none quoted) parse as finite
+    and positive. Such a file is one that _read_rows reads, to the same
+    arrays; its rows are its lines after the header.
     """
     stamps, prices = [], []
     with open(path, "rb") as fh:
         if fh.readline() != b"timestamp,price\n":
             return None
-        for chunk in _chunks(fh):
-            if not chunk or not chunk.isascii() or b"\r" in chunk:
+        while block := fh.read(_CHUNK_BYTES):
+            tail = fh.readline(_CHUNK_BYTES)  # the rest of the block's last line
+            chunk = block + tail
+            if not chunk.endswith(b"\n"):
+                if len(tail) == _CHUNK_BYTES:  # a line too long to complete
+                    return None
+                chunk += b"\n"  # the file's last line
+            if not chunk.isascii() or b"\r" in chunk:
                 return None
             b = np.frombuffer(chunk, np.uint8)
             commas, ends = np.flatnonzero(b == ord(",")), np.flatnonzero(b == ord("\n"))
@@ -328,7 +318,7 @@ def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray, range] | None:
         return None
     ts, p = np.concatenate(stamps), np.concatenate(prices)
     # the shapes leave one year that is not a calendar year: 0000
-    if ts.size < 2 or not (np.isfinite(p) & (p > 0)).all() or (ts < np.datetime64("0001")).any():
+    if not (np.isfinite(p) & (p > 0)).all() or (ts < np.datetime64("0001")).any():
         return None
     return ts, p, range(2, ts.size + 2)
 
@@ -352,6 +342,8 @@ def ingest_csv(path) -> PriceSeries:
         ts, p, lines = _read_plain(path) or _read_rows(path)
     except OSError as exc:  # e.g. no read permission
         raise IngestError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    if ts.size < 2:
+        raise IngestError(f"{path}: need at least 2 rows")
     steps = np.diff(ts).astype(np.int64)  # seconds
     order = None  # the rows' file order, where they had to be sorted
     if steps.min() < 0:

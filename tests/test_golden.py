@@ -107,6 +107,10 @@ def golden_tree(tmp: Path) -> dict[str, str]:
     return digests
 
 
+def _reject_constant(name: str):
+    raise AssertionError(f"{name} is not JSON")
+
+
 def test_analyze_tree_matches_manifest(tmp_path):
     expected = {k: v for k, v in json.loads(MANIFEST.read_text()).items()
                 if not k.startswith("demos/")}
@@ -114,6 +118,12 @@ def test_analyze_tree_matches_manifest(tmp_path):
     assert sorted(got) == sorted(expected)
     changed = [name for name in expected if got[name] != expected[name]]
     assert not changed
+    # strict JSON: NaN, Infinity and -Infinity are not JSON, whatever Python's json writes
+    found = sorted(tmp_path.rglob("*.json"))
+    assert {f.name for f in found} == {"report.json", "summary.json", "collapse_matrix.json",
+                                       "intervals_summary.json"}
+    for f in found:
+        json.loads(f.read_text(), parse_constant=_reject_constant)
 
 
 if __name__ == "__main__":

@@ -427,6 +427,21 @@ class TestArrayIngest:
         assert ts.tolist() == [datetime.fromisoformat(t) for t in stamps]
         assert np.array_equal(ts, _row_reader(f).timestamps)
 
+    @pytest.mark.parametrize("at", [2500, 4999], ids=["middle", "unterminated_last"])
+    def test_a_line_longer_than_a_block_is_completed(self, tmp_path, at):
+        # each block starts at a line start; this line starts early enough in its block to end
+        # within the _CHUNK_BYTES after it
+        start = np.datetime64("2000-01-01T00:00:00")
+        rows = [f"{start + np.timedelta64(60 * k, 's')},{100 + k / 7!r}" for k in range(5000)]
+        rows[at] = f"{start + np.timedelta64(60 * at, 's')},{'0' * 70_000}1.5"
+        assert volintervals.pipeline._CHUNK_BYTES < len(rows[at]) < 2 * volintervals.pipeline._CHUNK_BYTES
+        f = tmp_path / "x.csv"
+        f.write_text("\n".join(["timestamp,price", *rows]) + ("\n" if at < 4999 else ""))
+        ts, p, lines = _read_plain(f)
+        s = _row_reader(f)
+        assert np.array_equal(ts, s.timestamps) and np.array_equal(p.view(np.int64), s.prices.view(np.int64))
+        assert list(lines) == _read_rows(f)[2]
+
     # edit of a plain file's lines -> the message it must raise (None: it reads as a series)
     LEFT_TO_ROWS = {
         "header_with_a_third_column": (lambda lines: ["timestamp,price,volume", *lines[1:]], None),
@@ -1112,6 +1127,19 @@ def test_many_units_on_two_workers_with_constant_thread_switches(tmp_path):
 
 # the characters at which str.splitlines ends a line
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+ONE_LINE = st.characters(codec="utf-8", exclude_characters=LINE_BREAKS)
+CONFIG_KEYS = list(AnalysisConfig.__dataclass_fields__)
+CONFIG_VALUES = st.one_of(st.sampled_from(["0", "1", "-1", "2.5", "1,2", "nan", "true", "no", "linear",
+                                           "09:00", "1990-01-01"]),
+                          st.integers().map(str), st.floats().map(str), st.text(ONE_LINE, max_size=12))
+# a config file's line: blank, a comment, a setting of a known or unknown key, or text without '='
+CONFIG_LINES = st.one_of(
+    st.text(" \t", max_size=2),
+    st.text(ONE_LINE, max_size=12).map("# ".__add__),
+    st.tuples(st.sampled_from(CONFIG_KEYS) | st.from_regex(r"[a-z_]{1,8}", fullmatch=True),
+              CONFIG_VALUES).map(" = ".join),
+    st.text(st.characters(codec="utf-8", exclude_characters=LINE_BREAKS + "="), max_size=12),
+)
 
 
 class TestConfigFile:
@@ -1186,11 +1214,7 @@ class TestConfigFile:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "o2", "s.csv"]
 
     @pytest.mark.long_search
-    @given(key=st.sampled_from([k for k in AnalysisConfig.__dataclass_fields__ if k != "input"]),
-           value=st.one_of(st.sampled_from(["0", "1", "-1", "2.5", "1,2", "nan", "true", "no", "linear",
-                                            "09:00", "1990-01-01"]),
-                           st.integers().map(str), st.floats().map(str),
-                           st.text(st.characters(codec="utf-8", exclude_characters=LINE_BREAKS), max_size=12)))
+    @given(key=st.sampled_from([k for k in CONFIG_KEYS if k != "input"]), value=CONFIG_VALUES)
     @example(key="q", value="0")
     @example(key="bins", value="1")
     @example(key="subsets", value="0")
@@ -1201,6 +1225,31 @@ class TestConfigFile:
             cfg = load_config(f)
         except ConfigError as exc:
             assert re.search(rf"\b{key}\b", str(exc)), str(exc)
+        else:
+            assert isinstance(cfg, AnalysisConfig)
+
+    @pytest.mark.long_search
+    @given(lines=st.lists(CONFIG_LINES, max_size=8))
+    @example(lines=["input = a.csv", "q = 1", "# q = 3", "", "q = 2"])
+    @example(lines=["input = a.csv", "wat = 3"])
+    @example(lines=["q = 1"])
+    def test_any_config_text_is_a_config_or_an_error_naming_its_line_or_key(self, tmp_path_factory, lines):
+        text = "\n".join(lines)
+        f = tmp_path_factory.mktemp("cfg") / "c.cfg"
+        f.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_config(f)
+        except ConfigError as exc:
+            m = re.match(rf"{re.escape(str(f))}:(\d+): ", str(exc))
+            if m is None:  # a value that AnalysisConfig rejects, or one that is missing
+                assert re.search(rf"\b({'|'.join(CONFIG_KEYS)})\b", str(exc)), str(exc)
+            else:
+                line = text.splitlines()[int(m[1]) - 1].strip()
+                assert line and not line.startswith("#"), str(exc)
+                if repeated := re.search(r"repeated key '(\w+)', first set on line (\d+)$", str(exc)):
+                    first = int(repeated[2])
+                    assert first < int(m[1]), str(exc)
+                    assert text.splitlines()[first - 1].split("=", 1)[0].strip() == repeated[1], str(exc)
         else:
             assert isinstance(cfg, AnalysisConfig)
 
