@@ -531,16 +531,27 @@ def _seed_rows(vol, qs, seed) -> list:
     """Above-median run survival of each q of `qs` on one shuffle of vol.
 
     An entry holds the survival at k = 1.._SURROGATE_KMAX, or the
-    ValueError of a shuffle that leaves no interval above the median.
+    ValueError of a shuffle that leaves fewer than 2 events or no interval
+    above the median. Each is what extract_intervals, median_split, clusters
+    and cluster_survival give, bit for bit, with only the above side built:
+    no integer interval lies strictly between the two middle values, so
+    above the median is above the lower one.
     """
-    shuffled, rows = shuffle_volatility(vol, seed), []
+    g, rows = shuffle_volatility(vol, seed).values, []
     for q in qs:
-        try:
-            runs = clusters(median_split(extract_intervals(shuffled, q)))
-            s = cluster_survival(runs, side="above")[:_SURROGATE_KMAX, 1]
-        except ValueError as exc:  # no interval above the median
-            rows.append(exc)
+        iv = np.diff(np.flatnonzero(g > q))  # the event indices are freed here
+        if iv.size == 0:
+            rows.append(ValueError(f"threshold q={q:g}: found {np.count_nonzero(g > q)} event(s), "
+                                   "need at least 2"))
             continue
+        k = (iv.size - 1) // 2
+        # padded with False, the labels flip on at each run's start and off after its end
+        flips = np.flatnonzero(np.diff(iv > np.partition(iv, k)[k], prepend=False, append=False))
+        sizes = flips[1::2] - flips[::2]
+        if sizes.size == 0:
+            rows.append(ValueError("no above-median clusters"))
+            continue
+        s = np.bincount(sizes)[:0:-1].cumsum()[::-1][:_SURROGATE_KMAX] / sizes.size
         rows.append(np.pad(s, (0, _SURROGATE_KMAX - s.size)))
     return rows
 

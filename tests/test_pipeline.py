@@ -905,8 +905,39 @@ def per_threshold_envelope(vol, q, cfg):
     return np.column_stack([np.arange(1, 16), mean, mean - 3 * sd, mean + 3 * sd])
 
 
+def library_row(vol, q, seed):
+    """One seed's surrogate entry for q through the library's own stages."""
+    try:
+        seq = extract_intervals(shuffle_volatility(vol, seed), q)
+        s = cluster_survival(clusters(median_split(seq)), side="above")[:15, 1]
+    except ValueError as exc:
+        return exc
+    return np.pad(s, (0, 15 - s.size))
+
+
+def shuffling_to(events, length, seed):
+    """The series whose shuffle by `seed` is 2 at the indices `events` and 0 elsewhere."""
+    want = np.zeros(length)
+    want[events] = 2.0
+    vol = np.empty(length)
+    vol[np.random.default_rng(seed).permutation(length)] = want
+    assert np.array_equal(shuffle_volatility(VolatilitySeries(vol), seed).values, want)
+    return VolatilitySeries(vol)
+
+
+@st.composite
+def pooled_series(draw):
+    """A short series of values from a pool of 1-5, so that intervals tie, and 1-3
+    ascending thresholds, some equal to a value, some above the largest."""
+    pool = draw(st.lists(st.floats(0, 10), min_size=1, max_size=5))
+    values = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=200))
+    qs = draw(st.lists((st.sampled_from(pool) | st.floats(0, 11)).filter(lambda q: q > 0),
+                       min_size=1, max_size=3, unique=True))
+    return VolatilitySeries(np.array(values)), sorted(qs)
+
+
 class TestSurrogateEnvelopes:
-    map = map  # serial; TestSurrogateEnvelopesOnAPool reruns every case on a pool
+    map = map  # serial; TestSurrogateEnvelopesOnAPool reruns every envelope case on a pool
 
     def assert_matches_per_threshold(self, vol, qs, cfg):
         per_seed = list(self.map(lambda i: _seed_rows(vol, qs, cfg.seed + i), range(cfg.ensemble)))
@@ -934,6 +965,23 @@ class TestSurrogateEnvelopes:
         assert str(got[1.0]) == "no above-median clusters"
         assert got[0.5].shape == (15, 4)
 
+    @pytest.mark.long_search
+    @given(drawn=pooled_series(), seed=st.integers(0, 2**32))
+    @example(drawn=(VolatilitySeries(np.array([0.5, 0.5, 2.0])), [1.0, 3.0]), seed=0)  # 1, 0 events
+    @example(drawn=(VolatilitySeries(np.full(5, 2.0)), [1.0]), seed=0)  # every interval is 1
+    @example(drawn=(shuffling_to([0, 1, 3, 7, 12], 13, 5), [1.0]), seed=5)  # intervals 1, 2, 4, 5
+    @example(drawn=(shuffling_to([0, 2, 4, 6, 9], 10, 7), [1.0]), seed=7)  # intervals 2, 2, 2, 3
+    def test_seed_rows_are_the_library_rows(self, drawn, seed):
+        vol, qs = drawn
+        rows = _seed_rows(vol, qs, seed)
+        assert len(rows) == len(qs)
+        for q, got in zip(qs, rows):
+            want = library_row(vol, q, seed)
+            if isinstance(want, ValueError):
+                assert type(got) is type(want) and str(got) == str(want), q
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), q
+
 
 class TestSurrogateEnvelopesOnAPool(TestSurrogateEnvelopes):
     """Every case again, with the seeds mapped over an executor of 4 threads."""
@@ -943,6 +991,10 @@ class TestSurrogateEnvelopesOnAPool(TestSurrogateEnvelopes):
         with ThreadPoolExecutor(max_workers=4) as ex:
             self.map = ex.map
             yield
+
+    # one seed's rows do not depend on its thread, and hypothesis refuses to
+    # run one property from two classes
+    test_seed_rows_are_the_library_rows = None
 
 
 def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch):
