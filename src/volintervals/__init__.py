@@ -6,7 +6,7 @@ statistics, and above/below-median cluster runs, with shuffled
 surrogates and synthetic correlated/i.i.d. oracles for verification.
 """
 
-from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
+from .clusters import cluster_survival, median_split, run_sizes, shuffle_volatility
 from .distributions import collapse_distance, geometric_deviation, pdf_estimate
 from .intervals import IntervalSequence, extract_intervals
 from .memory import conditional_blocks, conditional_mean_curve, shuffle_intervals

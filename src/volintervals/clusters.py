@@ -10,54 +10,47 @@ from __future__ import annotations
 
 import numpy as np
 
-from .intervals import IntervalSequence
 from .series import VolatilitySeries
 
 __all__ = [
     "median_split",
-    "clusters",
+    "run_sizes",
     "cluster_survival",
     "shuffle_volatility",
 ]
 
 
-def median_split(seq: IntervalSequence) -> np.ndarray:
+def median_split(intervals) -> np.ndarray:
     """Boolean labels: True where the interval is strictly above the median.
 
-    Ties at the median count as below.
+    Ties at the median count as below. No interval lies strictly between the
+    two middle values, so above the median is above the lower middle value.
     """
-    return seq.intervals > np.median(seq.intervals)
+    iv = np.asarray(intervals)
+    if iv.size == 0:
+        raise ValueError("interval sequence must be non-empty")
+    k = (iv.size - 1) // 2
+    labels = iv > np.partition(iv, k)[k]
+    if not labels.any():
+        raise ValueError("no above-median clusters")
+    return labels
 
 
-def clusters(labels) -> dict[str, np.ndarray]:
-    """Run-length decomposition of an above/below label sequence: the run
-    sizes of each side, keyed "above" and "below"."""
-    lab = np.asarray(labels, dtype=bool)
-    if lab.size == 0:
-        raise ValueError("label sequence must be non-empty")
-    runs = {}
-    for side, on in (("above", lab), ("below", ~lab)):
-        # padded with False, the side's labels flip on at each run's start and off after its end
-        flips = np.flatnonzero(np.diff(on, prepend=False, append=False))
-        runs[side] = flips[1::2] - flips[::2]
-    return runs
+def run_sizes(labels) -> np.ndarray:
+    """Sizes of the runs of True in a label sequence, in order."""
+    # padded with False, the labels flip on at each run's start and off after its end
+    flips = np.flatnonzero(np.diff(np.asarray(labels, dtype=bool), prepend=False, append=False))
+    return flips[1::2] - flips[::2]
 
 
-def cluster_survival(runs: dict[str, np.ndarray], side: str = "above") -> np.ndarray:
+def cluster_survival(sizes) -> np.ndarray:
     """Complementary cumulative distribution of cluster sizes.
 
     Returns an array of (k, P(size >= k)) rows for k = 1..max size.
     """
-    if side not in ("above", "below"):
-        raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-    sizes = runs[side]
-    if sizes.size == 0:
-        raise ValueError(f"no {side}-median clusters")
-    kmax = int(sizes.max())
-    counts = np.bincount(sizes, minlength=kmax + 1)[1:]
-    surv = counts[::-1].cumsum()[::-1] / sizes.size
-    ks = np.arange(1, kmax + 1, dtype=float)
-    return np.column_stack([ks, surv])
+    sizes = np.asarray(sizes)
+    surv = np.bincount(sizes)[:0:-1].cumsum()[::-1] / sizes.size
+    return np.column_stack([np.arange(1, surv.size + 1, dtype=float), surv])
 
 
 def shuffle_volatility(vol: VolatilitySeries, seed: int) -> VolatilitySeries:

@@ -51,7 +51,7 @@ def extract_intervals(vol, q: float, session_ids=None) -> IntervalSequence:
     Given session_ids, intervals whose bounding events lie in different
     sessions are discarded.
     """
-    if q <= 0:
+    if not q > 0:  # also true for NaN
         raise ValueError("threshold q must be positive")
     g = (vol if isinstance(vol, VolatilitySeries) else VolatilitySeries(vol)).values
     if g.size < 2:

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import memory
-from .clusters import cluster_survival, clusters, median_split, shuffle_volatility
+from .clusters import cluster_survival, median_split, run_sizes, shuffle_volatility
 from .distributions import collapse_distance, geometric_deviation, pdf_estimate
 from .intervals import extract_intervals
 from .memory import conditional_mean_curve, shuffle_intervals
@@ -508,8 +508,8 @@ def _shuffled_mean_tables(seq, cfg):
 
 
 def _cluster_tables(seq, cfg):
-    runs = clusters(median_split(seq))
-    above, below = cluster_survival(runs, "above"), cluster_survival(runs, "below")
+    labels = median_split(seq.intervals)
+    above, below = cluster_survival(run_sizes(labels)), cluster_survival(run_sizes(~labels))
     surv = np.vstack([above, below])
     yield Table("cluster_survival", ("side", "k", "survival"),
                 (["above"] * len(above) + ["below"] * len(below), surv[:, 0], surv[:, 1]))
@@ -532,27 +532,19 @@ def _seed_rows(vol, qs, seed) -> list:
 
     An entry holds the survival at k = 1.._SURROGATE_KMAX, or the
     ValueError of a shuffle that leaves fewer than 2 events or no interval
-    above the median. Each is what extract_intervals, median_split, clusters
-    and cluster_survival give, bit for bit, with only the above side built:
-    no integer interval lies strictly between the two middle values, so
-    above the median is above the lower one.
+    above the median.
     """
     g, rows = shuffle_volatility(vol, seed).values, []
     for q in qs:
         iv = np.diff(np.flatnonzero(g > q))  # the event indices are freed here
-        if iv.size == 0:
-            rows.append(ValueError(f"threshold q={q:g}: found {np.count_nonzero(g > q)} event(s), "
-                                   "need at least 2"))
-            continue
-        k = (iv.size - 1) // 2
-        # padded with False, the labels flip on at each run's start and off after its end
-        flips = np.flatnonzero(np.diff(iv > np.partition(iv, k)[k], prepend=False, append=False))
-        sizes = flips[1::2] - flips[::2]
-        if sizes.size == 0:
-            rows.append(ValueError("no above-median clusters"))
-            continue
-        s = np.bincount(sizes)[:0:-1].cumsum()[::-1][:_SURROGATE_KMAX] / sizes.size
-        rows.append(np.pad(s, (0, _SURROGATE_KMAX - s.size)))
+        try:
+            if iv.size == 0:
+                raise ValueError(f"threshold q={q:g}: found {np.count_nonzero(g > q)} event(s), "
+                                 "need at least 2")
+            s = cluster_survival(run_sizes(median_split(iv)))[:_SURROGATE_KMAX, 1]
+            rows.append(np.pad(s, (0, _SURROGATE_KMAX - s.size)))
+        except ValueError as exc:  # a traceback would keep this seed's shuffle alive
+            rows.append(exc.with_traceback(None))
     return rows
 
 

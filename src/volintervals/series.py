@@ -153,10 +153,19 @@ def _per_sample(values, n: int, name: str) -> np.ndarray:
     return a
 
 
+def _slots(slots, n: int) -> np.ndarray:
+    """`slots` as int64 indices, which must be whole numbers >= 0, one for each of n samples."""
+    a = _per_sample(slots, n, "slots")
+    bad = np.flatnonzero(~((a >= 0) & (np.floor(a) == a) & np.isfinite(a)))
+    if bad.size:
+        raise ValueError(f"slot at index {bad[0]} must be a non-negative integer, got {a[bad[0]]}")
+    return a.astype(np.int64, copy=False)
+
+
 def build_intraday_pattern(vol: VolatilitySeries, slots, session_ids) -> np.ndarray:
     """Mean volatility of each time-of-day slot across sessions, indexed by
     slot; NaN for a slot never observed (empty, not zero)."""
-    slots = _per_sample(slots, vol.values.size, "slots").astype(np.int64, copy=False)
+    slots = _slots(slots, vol.values.size)
     session_ids = _per_sample(session_ids, vol.values.size, "session_ids")
     if not (session_ids != session_ids[:1]).any():  # one session id, or none
         raise ValueError("intraday pattern needs at least 2 sessions")
@@ -169,7 +178,7 @@ def build_intraday_pattern(vol: VolatilitySeries, slots, session_ids) -> np.ndar
 def intraday_detrend(vol: VolatilitySeries, pattern: np.ndarray, slots) -> VolatilitySeries:
     """Divide each observation by its slot's cross-session mean, `pattern`
     being build_intraday_pattern's slot means."""
-    slots = _per_sample(slots, vol.values.size, "slots").astype(np.int64, copy=False)
+    slots = _slots(slots, vol.values.size)
     if slots.max() >= pattern.size:
         raise ValueError(f"slot {int(slots.max())} not covered by pattern")
     means = pattern[slots]

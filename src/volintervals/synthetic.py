@@ -80,7 +80,7 @@ def impose_intraday_pattern(vol: VolatilitySeries, pattern) -> VolatilitySeries:
     cycle through the pattern in order).
     """
     p = np.asarray(pattern, dtype=float)
-    if np.any(p <= 0):
+    if not (p.size and (p > 0).all()):  # NaN fails every comparison
         raise ValueError("pattern values must be positive")
     slots = np.arange(len(vol)) % p.size
     return VolatilitySeries(values=vol.values * p[slots])

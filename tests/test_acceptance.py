@@ -19,7 +19,6 @@ from volintervals import (
     VolatilitySeries,
     build_intraday_pattern,
     cluster_survival,
-    clusters,
     collapse_distance,
     conditional_mean_curve,
     extract_intervals,
@@ -30,6 +29,7 @@ from volintervals import (
     median_split,
     normalize_volatility,
     run_pipeline,
+    run_sizes,
     shuffle_intervals,
     shuffle_volatility,
 )
@@ -133,13 +133,13 @@ def test_criterion_4_conditional_pdf_separation(oracle_seqs):
 
 def test_criterion_5_clustering(correlated_vol, oracle_seqs):
     seq = oracle_seqs[2.0]
-    surv = cluster_survival(clusters(median_split(seq)), "above")
+    surv = cluster_survival(run_sizes(median_split(seq.intervals)))
     tail = surv[7, 1] if surv.shape[0] >= 8 else 0.0
     tail_ok = tail >= 2 * 2.0 ** (-7)
     shuf = extract_intervals(shuffle_volatility(correlated_vol, seed=5), 2.0)
-    runs = clusters(median_split(shuf))
-    ssurv = cluster_survival(runs, "above")
-    m = runs["above"].size
+    sizes = run_sizes(median_split(shuf.intervals))
+    ssurv = cluster_survival(sizes)
+    m = sizes.size
     worst = 0.0 if ssurv[0, 1] == 1.0 else np.inf  # k=1 is exact
     for k in range(2, 11):
         p = 2.0 ** (1 - k)

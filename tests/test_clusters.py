@@ -6,49 +6,46 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from volintervals import (
-    IntervalSequence,
     VolatilitySeries,
     cluster_survival,
-    clusters,
     extract_intervals,
     median_split,
+    run_sizes,
     shuffle_volatility,
 )
 
 
-def make_seq(intervals, q=1.0):
-    return IntervalSequence(threshold_q=q, intervals=np.asarray(intervals))
-
-
 class TestMedianSplit:
     def test_ties_at_median_go_below(self):
-        labels = median_split(make_seq([1, 2, 3, 4, 5]))
+        labels = median_split(np.array([1, 2, 3, 4, 5]))
         assert labels.tolist() == [False, False, False, True, True]
 
     def test_all_equal_all_below(self):
-        assert not median_split(make_seq([7, 7, 7, 7])).any()
+        # every interval ties at the median, so no run lies above it
+        with pytest.raises(ValueError, match="^no above-median clusters$"):
+            median_split(np.array([7, 7, 7, 7]))
 
     def test_direct_comparison(self):
-        labels = median_split(make_seq([5, 1, 5, 1]))
+        labels = median_split(np.array([5, 1, 5, 1]))
         assert labels.tolist() == [True, False, True, False]
 
     def test_above_count_at_most_half(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            seq = make_seq(rng.geometric(0.3, size=rng.integers(10, 200)))
-            assert median_split(seq).sum() <= len(seq) / 2
+            iv = rng.geometric(0.3, size=rng.integers(10, 200))
+            assert median_split(iv).sum() <= iv.size / 2
 
 
 class TestClusters:
     def test_run_length_encoding(self):
-        runs = clusters([True, True, False, False, True])
-        assert runs["above"].tolist() == [2, 1]
-        assert runs["below"].tolist() == [2]
+        labels = np.array([True, True, False, False, True])
+        assert run_sizes(labels).tolist() == [2, 1]
+        assert run_sizes(~labels).tolist() == [2]
 
     def test_alternating_all_ones(self):
-        runs = clusters([True, False] * 10)
-        assert np.all(runs["above"] == 1)
-        assert np.all(runs["below"] == 1)
+        labels = np.array([True, False] * 10)
+        assert np.all(run_sizes(labels) == 1)
+        assert np.all(run_sizes(~labels) == 1)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=200))
     @example([True])
@@ -57,17 +54,17 @@ class TestClusters:
     @example([False] * 7)
     def test_run_decomposition_is_a_bijection(self, labels):
         # each side's run sizes, in order, as itertools.groupby reads them
-        runs = clusters(labels)
+        lab = np.array(labels)
         groups = [(label, len(list(g))) for label, g in itertools.groupby(labels)]
-        assert runs["above"].tolist() == [n for label, n in groups if label]
-        assert runs["below"].tolist() == [n for label, n in groups if not label]
+        assert run_sizes(lab).tolist() == [n for label, n in groups if label]
+        assert run_sizes(~lab).tolist() == [n for label, n in groups if not label]
 
     def test_fair_coin_runs_are_geometric(self):
         rng = np.random.default_rng(1)
         labels = rng.random(10**6) < 0.5
-        runs = clusters(labels)
-        surv = cluster_survival(runs, "above")
-        m = runs["above"].size
+        sizes = run_sizes(labels)
+        surv = cluster_survival(sizes)
+        m = sizes.size
         assert surv[0, 1] == 1.0
         for k in range(2, 11):
             p = 2.0 ** (1 - k)
@@ -77,34 +74,31 @@ class TestClusters:
 
 class TestClusterSurvival:
     def test_counting(self):
-        runs = clusters([True, False, True, True])  # above [1,2], below [1]
-        surv = cluster_survival(runs, "above")
+        labels = np.array([True, False, True, True])  # above [1,2], below [1]
+        surv = cluster_survival(run_sizes(labels))
         assert surv.tolist() == [[1, 1.0], [2, 0.5]]
-        sizes_example = cluster_survival(
-            clusters([True, False, True, False, False]), "below")  # below [1,2]
-        assert sizes_example[0].tolist() == [1, 1.0]
+        assert cluster_survival(run_sizes(~labels)).tolist() == [[1, 1.0]]
+        below = ~np.array([True, False, True, False, False])  # below [1,2]
+        assert cluster_survival(run_sizes(below)).tolist() == [[1, 1.0], [2, 0.5]]
 
     def test_explicit_example(self):
         # sizes [1,1,2] -> [(1,1.0), (2,1/3)]
-        runs = clusters([True, False, True, False, True, True])
-        surv = cluster_survival(runs, "above")
+        surv = cluster_survival(run_sizes([True, False, True, False, True, True]))
         assert surv[0].tolist() == [1, 1.0]
         assert surv[1, 1] == pytest.approx(1 / 3)
+        assert cluster_survival(np.array([3, 1, 3])).tolist() == \
+            [[1, 1.0], [2, 2 / 3], [3, 2 / 3]]
 
     def test_single_run(self):
-        surv = cluster_survival(clusters([True] * 5), "above")
+        surv = cluster_survival(run_sizes([True] * 5))
         assert np.all(surv[:, 1] == 1.0)
         assert surv.shape == (5, 2)
 
     def test_survival_starts_at_one(self):
         rng = np.random.default_rng(2)
-        runs = clusters(rng.random(1000) < 0.4)
-        assert cluster_survival(runs, "above")[0, 1] == 1.0
-        assert cluster_survival(runs, "below")[0, 1] == 1.0
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            cluster_survival(clusters([True]), "sideways")
+        labels = rng.random(1000) < 0.4
+        assert cluster_survival(run_sizes(labels))[0, 1] == 1.0
+        assert cluster_survival(run_sizes(~labels))[0, 1] == 1.0
 
 
 class TestShuffleVolatility:
@@ -131,10 +125,9 @@ class TestShuffleVolatility:
     def test_shuffled_correlated_runs_near_geometric(self, correlated_vol):
         # shuffling the volatility makes the interval labels exchangeable
         shuf = shuffle_volatility(correlated_vol, 5)
-        seq = extract_intervals(shuf, 2.0)
-        runs = clusters(median_split(seq))
-        surv = cluster_survival(runs, "above")
-        m = runs["above"].size
+        sizes = run_sizes(median_split(extract_intervals(shuf, 2.0).intervals))
+        surv = cluster_survival(sizes)
+        m = sizes.size
         assert surv[0, 1] == 1.0
         for k in range(2, 11):
             p = 2.0 ** (1 - k)
@@ -145,6 +138,6 @@ class TestShuffleVolatility:
 
 def test_correlated_oracle_has_long_cluster_tails(correlated_vol):
     seq = extract_intervals(correlated_vol, 2.0)
-    surv = cluster_survival(clusters(median_split(seq)), "above")
+    surv = cluster_survival(run_sizes(median_split(seq.intervals)))
     assert surv.shape[0] >= 8
     assert surv[7, 1] >= 2 * 2.0 ** (-7)

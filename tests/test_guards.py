@@ -15,19 +15,20 @@ from volintervals import (
     PriceSeries,
     VolatilitySeries,
     build_intraday_pattern,
-    clusters,
     extract_intervals,
     intraday_detrend,
+    median_split,
     pdf_estimate,
 )
-from volintervals.synthetic import correlated_gaussian
+from volintervals.synthetic import correlated_gaussian, impose_intraday_pattern
 
 DAY = np.timedelta64(1, "D")
 DAYS = np.arange("2000-01-01", "2000-01-04", dtype="datetime64[D]").astype("datetime64[s]")
 SEQ = IntervalSequence(1.0, [1, 2, 3])
 
 GUARDS = {
-    "clusters_empty": (lambda: clusters([]), ValueError, "label sequence must be non-empty"),
+    "median_split_empty": (lambda: median_split(np.array([], dtype=np.int64)), ValueError,
+                           "interval sequence must be non-empty"),
     "pdf_empty": (lambda: pdf_estimate([], 1.0), ValueError,
                   "cannot estimate a PDF from an empty sequence"),
     "pdf_mode": (lambda: pdf_estimate(SEQ.intervals, 2.0, mode="cubic"), ValueError,
@@ -42,6 +43,8 @@ GUARDS = {
                       "intervals must be >= 1 sampling step"),
     "extract_q": (lambda: extract_intervals([3.0, 3.0], 0), ValueError,
                   "threshold q must be positive"),
+    "extract_q_nan": (lambda: extract_intervals([3.0, 3.0], float("nan")), ValueError,
+                      "threshold q must be positive"),
     "extract_one_sample": (lambda: extract_intervals([3.0], 1.0), ValueError,
                            "volatility series needs at least 2 samples"),
     "extract_nan": (lambda: extract_intervals([2.0, np.nan, 2.0], 1.0), ValueError,
@@ -67,6 +70,29 @@ GUARDS = {
                        "volatility values must be non-negative"),
     "detrend_slot": (lambda: intraday_detrend(VolatilitySeries([1.0, 1.0]), np.ones(2), [0, 2]),
                      ValueError, "slot 2 not covered by pattern"),
+    # a negative slot would index the pattern from its end, a fractional one be truncated
+    "detrend_negative_slot": (lambda: intraday_detrend(VolatilitySeries(np.ones(6)),
+                                                       np.array([1.0, 2.0, 4.0]),
+                                                       [-1, 0, 1, 2, 0, 1]),
+                              ValueError, "slot at index 0 must be a non-negative integer, got -1"),
+    "detrend_fractional_slot": (lambda: intraday_detrend(VolatilitySeries(np.ones(2)), np.ones(2),
+                                                         [1, 0.9]),
+                                ValueError,
+                                "slot at index 1 must be a non-negative integer, got 0.9"),
+    "pattern_negative_slot": (lambda: build_intraday_pattern(VolatilitySeries(np.ones(4)),
+                                                             [0, 1, -1, 1], [0, 0, 1, 1]),
+                              ValueError, "slot at index 2 must be a non-negative integer, got -1"),
+    "pattern_fractional_slot": (lambda: build_intraday_pattern(VolatilitySeries(np.ones(4)),
+                                                               [0.9, 1, 0, 1], [0, 0, 1, 1]),
+                                ValueError,
+                                "slot at index 0 must be a non-negative integer, got 0.9"),
+    "pattern_nan_slot": (lambda: build_intraday_pattern(VolatilitySeries(np.ones(4)),
+                                                        [0, 1, 0, np.nan], [0, 0, 1, 1]),
+                         ValueError, "slot at index 3 must be a non-negative integer, got nan"),
+    "impose_empty": (lambda: impose_intraday_pattern(VolatilitySeries(np.ones(4)), []),
+                     ValueError, "pattern values must be positive"),
+    "impose_nan": (lambda: impose_intraday_pattern(VolatilitySeries(np.ones(4)), [1.0, np.nan]),
+                   ValueError, "pattern values must be positive"),
     "extract_short_sessions": (lambda: extract_intervals([2.0, 0.0, 2.0, 2.0], 1.0, [0, 0]),
                                ValueError,
                                "session_ids has length 2 but the volatility has 4 samples"),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -22,13 +23,10 @@ from volintervals import (
     PriceSeries,
     VolatilitySeries,
     build_intraday_pattern,
-    cluster_survival,
-    clusters,
     extract_intervals,
     ingest_csv,
     intraday_detrend,
     log_returns,
-    median_split,
     normalize_volatility,
     run_pipeline,
     session_slots,
@@ -890,15 +888,22 @@ class TestRunPipeline:
         assert list(summary["per_q"]) == ["0.5"]
 
 
+def above_median_survival(intervals):
+    """P(size >= k) at k = 1..15 of the runs above the median, from first principles:
+    labels against np.median, runs by itertools.groupby, each probability counted."""
+    above = intervals > np.median(intervals)
+    sizes = [len(list(run)) for label, run in itertools.groupby(above) if label]
+    if not sizes:
+        raise ValueError("no above-median clusters")
+    return np.array([sum(size >= k for size in sizes) / len(sizes) for k in range(1, 16)])
+
+
 def per_threshold_envelope(vol, q, cfg):
     """Reference surrogate of one threshold: a fresh shuffle and extraction per seed."""
-    surv = np.zeros((cfg.ensemble, 15))
     try:
-        for i in range(cfg.ensemble):
-            seq = extract_intervals(shuffle_volatility(vol, cfg.seed + i), q)
-            s = cluster_survival(clusters(median_split(seq)), side="above")
-            k = min(s.shape[0], 15)
-            surv[i, :k] = s[:k, 1]
+        surv = np.array([above_median_survival(
+            extract_intervals(shuffle_volatility(vol, cfg.seed + i), q).intervals)
+            for i in range(cfg.ensemble)])
     except ValueError as exc:
         return exc
     mean, sd = surv.mean(axis=0), surv.std(axis=0, ddof=1)
@@ -906,13 +911,12 @@ def per_threshold_envelope(vol, q, cfg):
 
 
 def library_row(vol, q, seed):
-    """One seed's surrogate entry for q through the library's own stages."""
+    """One seed's surrogate entry for q: extract_intervals on its shuffle, then the
+    first-principles survival."""
     try:
-        seq = extract_intervals(shuffle_volatility(vol, seed), q)
-        s = cluster_survival(clusters(median_split(seq)), side="above")[:15, 1]
+        return above_median_survival(extract_intervals(shuffle_volatility(vol, seed), q).intervals)
     except ValueError as exc:
         return exc
-    return np.pad(s, (0, 15 - s.size))
 
 
 def shuffling_to(events, length, seed):
