@@ -15,27 +15,28 @@ from volintervals import (
     correlated_gaussian,
     extract_intervals,
     geometric_deviation,
+    mean_interval,
     pdf_estimate,
 )
 
 vol = VolatilitySeries(np.abs(correlated_gaussian(2**20, 0.3, 1)))
 
 qs = [1.0, 1.5, 2.0]
-seqs = [extract_intervals(vol, q) for q in qs]
+ivs = [extract_intervals(vol, q) for q in qs]
 
 print("threshold   events    <tau>    KS-to-geometric")
-for s in seqs:
-    print(f"  q={s.threshold_q:<4g} {len(s):>8d} {s.mean_interval:>8.2f}"
-          f"    {geometric_deviation(s):.3f}")
+for q, iv in zip(qs, ivs):
+    print(f"  q={q:<4g} {iv.size:>8d} {mean_interval(iv):>8.2f}"
+          f"    {geometric_deviation(iv):.3f}")
 
 print("\nscaled PDF sample points (x = tau/<tau>, y = P*<tau>):")
-for s in seqs:
-    x, y = pdf_estimate(s.intervals, s.mean_interval, n_bins=16)
+for q, iv in zip(qs, ivs):
+    x, y = pdf_estimate(iv, mean_interval(iv), n_bins=16)
     picks = y > 0
     xs = "  ".join(f"({a:5.2f},{b:6.3f})" for a, b in list(zip(x[picks], y[picks]))[:6])
-    print(f"  q={s.threshold_q:<4g} {xs}")
+    print(f"  q={q:<4g} {xs}")
 
-d = collapse_distance(seqs, jitter_seed=0)
+d = collapse_distance(ivs, jitter_seed=0)
 print("\npairwise collapse distance (continuity-corrected KS):")
 for i, qi in enumerate(qs):
     for j in range(i + 1, len(qs)):

@@ -14,17 +14,19 @@ from volintervals import (
     conditional_mean_curve,
     correlated_gaussian,
     extract_intervals,
+    mean_interval,
     shuffle_intervals,
 )
 
 vol = VolatilitySeries(np.abs(correlated_gaussian(2**20, 0.3, 1)))
-seq = extract_intervals(vol, 1.0)
+iv = extract_intervals(vol, 1.0)
+mean = mean_interval(iv)
 
-centers, means, _ = conditional_mean_curve(conditional_blocks(seq, 8), seq.mean_interval)
-shuffled = conditional_blocks(shuffle_intervals(seq, seed=0), 8)
-_, shuffled_means, _ = conditional_mean_curve(shuffled, seq.mean_interval)
+centers, means, _ = conditional_mean_curve(conditional_blocks(iv, 8), mean)
+shuffled = conditional_blocks(shuffle_intervals(iv, seed=0), 8)
+_, shuffled_means, _ = conditional_mean_curve(shuffled, mean)
 
-print(f"q=1.0, {len(seq)} intervals, <tau> = {seq.mean_interval:.2f}\n")
+print(f"q=1.0, {iv.size} intervals, <tau> = {mean:.2f}\n")
 print("octile   tau0/<tau>   <tau|tau0>/<tau>   shuffled")
 for k in range(8):
     print(f"  {k + 1}      {centers[k]:>8.3f}     {means[k]:>8.3f}"

@@ -20,15 +20,14 @@ from volintervals import (
 vol = VolatilitySeries(np.abs(correlated_gaussian(2**20, 0.3, 1)))
 
 q = 2.0
-seq = extract_intervals(vol, q)
-runs = run_sizes(median_split(seq.intervals))
+iv = extract_intervals(vol, q)
+runs = run_sizes(median_split(iv))
 surv = cluster_survival(runs)
 
-shuf_seq = extract_intervals(shuffle_volatility(vol, seed=0), q)
-shuf_runs = run_sizes(median_split(shuf_seq.intervals))
+shuf_runs = run_sizes(median_split(extract_intervals(shuffle_volatility(vol, seed=0), q)))
 shuf_surv = cluster_survival(shuf_runs)
 
-print(f"q={q:g}: {len(seq)} intervals, median {np.median(seq.intervals):g}\n")
+print(f"q={q:g}: {iv.size} intervals, median {np.median(iv):g}\n")
 print("  k    P(size>=k)  shuffled    2^(1-k)")
 for k in range(1, 11):
     obs = surv[k - 1, 1] if surv.shape[0] >= k else 0.0

@@ -18,6 +18,7 @@ from volintervals import (
     extract_intervals,
     impose_intraday_pattern,
     intraday_detrend,
+    mean_interval,
 )
 
 # --- intraday pattern removal -------------------------------------------
@@ -44,7 +45,7 @@ for q in (1.0, 1.5, 2.0):
     a = extract_intervals(np.abs(x[:half]), q)
     b = extract_intervals(np.abs(x[half:]), q)
     d = collapse_distance([a, b], jitter_seed=0)[0, 1]
-    print(f"  q={q:g}: <tau> {a.mean_interval:6.2f} vs {b.mean_interval:6.2f},"
+    print(f"  q={q:g}: <tau> {mean_interval(a):6.2f} vs {mean_interval(b):6.2f},"
           f"  KS {d:.4f}")
 print("Under identical dynamics the two periods share one scaled shape even")
 print("when their raw event rates differ.")

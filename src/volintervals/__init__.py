@@ -8,7 +8,7 @@ surrogates and synthetic correlated/i.i.d. oracles for verification.
 
 from .clusters import cluster_survival, median_split, run_sizes, shuffle_volatility
 from .distributions import collapse_distance, geometric_deviation, pdf_estimate
-from .intervals import IntervalSequence, extract_intervals
+from .intervals import extract_intervals, mean_interval
 from .memory import conditional_blocks, conditional_mean_curve, shuffle_intervals
 from .pipeline import AnalysisConfig, ingest_csv, run_pipeline, split_by_date, write_csv
 from .series import (

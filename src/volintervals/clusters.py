@@ -49,6 +49,10 @@ def cluster_survival(sizes) -> np.ndarray:
     Returns an array of (k, P(size >= k)) rows for k = 1..max size.
     """
     sizes = np.asarray(sizes)
+    if sizes.size == 0:
+        raise ValueError("no clusters")
+    if sizes.min() < 1:
+        raise ValueError("cluster sizes must be >= 1")
     surv = np.bincount(sizes)[:0:-1].cumsum()[::-1] / sizes.size
     return np.column_stack([np.arange(1, surv.size + 1, dtype=float), surv])
 

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .intervals import IntervalSequence
+from .intervals import mean_interval
 
 __all__ = [
     "pdf_estimate",
@@ -57,7 +57,7 @@ def pdf_estimate(intervals, mean_interval: float, mode: str = "logarithmic",
     return centres / mean_interval, densities * mean_interval
 
 
-def continuity_corrected_sample(seq, rng) -> np.ndarray:
+def continuity_corrected_sample(intervals, rng) -> np.ndarray:
     """Scaled intervals with the integer lattice smoothed out.
 
     Subtracts U(0,1) jitter from each interval before scaling by the
@@ -66,7 +66,8 @@ def continuity_corrected_sample(seq, rng) -> np.ndarray:
     the correction makes the samples continuous so KS measures the
     underlying shape.
     """
-    x = seq.intervals - rng.random(len(seq))
+    mean_interval(intervals)  # rejects an empty sample or an interval below 1
+    x = np.asarray(intervals) - rng.random(len(intervals))
     return x / x.mean()
 
 
@@ -93,7 +94,7 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def collapse_distance(sequences, jitter_seed: int | None = None) -> np.ndarray:
-    """Pairwise two-sample KS distances between scaled interval sequences.
+    """Pairwise two-sample KS distances between scaled interval arrays.
 
     Symmetric, zero diagonal. Each sample is sorted once. With jitter_seed
     set, samples are continuity corrected first (deterministic per seed);
@@ -103,7 +104,7 @@ def collapse_distance(sequences, jitter_seed: int | None = None) -> np.ndarray:
     if len(sequences) < 2:
         raise ValueError("need at least 2 sequences")
     if jitter_seed is None:
-        scaled = [s.scaled() for s in sequences]
+        scaled = [np.asarray(s) / mean_interval(s) for s in sequences]
     else:
         rng = np.random.default_rng(jitter_seed)
         scaled = [continuity_corrected_sample(s, rng) for s in sequences]
@@ -116,13 +117,13 @@ def collapse_distance(sequences, jitter_seed: int | None = None) -> np.ndarray:
     return d
 
 
-def geometric_deviation(seq: IntervalSequence) -> float:
+def geometric_deviation(intervals) -> float:
     """KS distance of the intervals from the geometric law with p = 1/<tau>,
     that of the intervals between uncorrelated exceedances."""
-    iv = seq.intervals
+    mean, iv = mean_interval(intervals), np.asarray(intervals)
     # both CDFs step only at integers, so the sup is the max over k = 1..max tau;
     # the geometric CDF is 1 - (1 - p)^k by plain products, which no host's SIMD
     # transcendental code can round differently
     emp = np.cumsum(np.bincount(iv)[1:]) / iv.size
-    cdf = 1.0 - np.cumprod(np.full(emp.size, 1.0 - 1.0 / seq.mean_interval))
+    cdf = 1.0 - np.cumprod(np.full(emp.size, 1.0 - 1.0 / mean))
     return float(np.abs(emp - cdf).max())

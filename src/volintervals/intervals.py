@@ -7,46 +7,29 @@ events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .series import VolatilitySeries, _per_sample
 
 __all__ = [
-    "IntervalSequence",
     "extract_intervals",
+    "mean_interval",
 ]
 
 
-@dataclass(frozen=True)
-class IntervalSequence:
-    """Ordered return intervals for one threshold, in sampling-step units."""
-
-    threshold_q: float
-    intervals: np.ndarray  # int64, each >= 1
-    mean_interval: float = field(init=False)
-
-    def __post_init__(self):
-        iv = np.asarray(self.intervals, dtype=np.int64)
-        if iv.size == 0:
-            raise ValueError("interval sequence must be non-empty")
-        if np.any(iv < 1):
-            raise ValueError("intervals must be >= 1 sampling step")
-        object.__setattr__(self, "intervals", iv)
-        # integer sum, so the mean is exact and permutation invariant
-        object.__setattr__(self, "mean_interval", float(iv.sum()) / iv.size)
-
-    def __len__(self):
-        return self.intervals.size
-
-    def scaled(self) -> np.ndarray:
-        """Intervals divided by their mean."""
-        return self.intervals / self.mean_interval
+def mean_interval(intervals) -> float:
+    """<tau> of a non-empty sequence of intervals, each >= 1 sampling step."""
+    iv = np.asarray(intervals, dtype=np.int64)
+    if iv.size == 0:
+        raise ValueError("interval sequence must be non-empty")
+    if np.any(iv < 1):
+        raise ValueError("intervals must be >= 1 sampling step")
+    # integer sum, so the mean is exact and permutation invariant
+    return float(iv.sum()) / iv.size
 
 
-def extract_intervals(vol, q: float, session_ids=None) -> IntervalSequence:
-    """Intervals between successive samples with g(t) > q (strict).
+def extract_intervals(vol, q: float, session_ids=None) -> np.ndarray:
+    """Intervals (int64) between successive samples with g(t) > q (strict).
 
     Given session_ids, intervals whose bounding events lie in different
     sessions are discarded.
@@ -67,5 +50,5 @@ def extract_intervals(vol, q: float, session_ids=None) -> IntervalSequence:
             raise ValueError(f"threshold q={q:g}: {events.size} events, but no two successive "
                              "events share a session")
         intervals = intervals[keep]
-    return IntervalSequence(threshold_q=float(q), intervals=intervals)
+    return intervals
 

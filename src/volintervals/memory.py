@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .intervals import IntervalSequence
-
 __all__ = [
     "min_intervals",
     "conditional_blocks",
@@ -27,7 +25,7 @@ def min_intervals(n_subsets: int) -> int:
     return 2 * n_subsets + 1
 
 
-def conditional_blocks(seq: IntervalSequence, n_subsets: int = 8):
+def conditional_blocks(intervals, n_subsets: int = 8):
     """Equal-count value-sorted blocks of (predecessor, successor) pairs.
 
     Returns (cond_blocks, succ_blocks): per block, the conditioning
@@ -35,7 +33,7 @@ def conditional_blocks(seq: IntervalSequence, n_subsets: int = 8):
     boundaries are broken by temporal index (stable sort). Block sizes
     differ by at most 1.
     """
-    iv, least = seq.intervals, min_intervals(n_subsets)
+    iv, least = np.asarray(intervals), min_intervals(n_subsets)
     if iv.size < least:
         raise ValueError(f"need at least {least} intervals for {n_subsets} subsets, have {iv.size}")
     cond, succ = iv[:-1], iv[1:]
@@ -56,11 +54,11 @@ def conditional_mean_curve(blocks, mean_interval: float) -> tuple:
     return centers, means, stderr
 
 
-def shuffle_intervals(seq: IntervalSequence, seed: int) -> IntervalSequence:
+def shuffle_intervals(intervals, seed: int) -> np.ndarray:
     """Uniform random permutation of the interval values (fixed seed).
 
     Preserves the interval multiset, hence <tau>, exactly; destroys
     temporal order.
     """
     rng = np.random.default_rng(seed)
-    return IntervalSequence(threshold_q=seq.threshold_q, intervals=rng.permutation(seq.intervals))
+    return rng.permutation(intervals)

@@ -26,7 +26,7 @@ import numpy as np
 from . import memory
 from .clusters import cluster_survival, median_split, run_sizes, shuffle_volatility
 from .distributions import collapse_distance, geometric_deviation, pdf_estimate
-from .intervals import extract_intervals
+from .intervals import extract_intervals, mean_interval
 from .memory import conditional_mean_curve, shuffle_intervals
 from .series import (
     PriceSeries,
@@ -480,13 +480,12 @@ class Table(NamedTuple):
     suffix: str = ""
 
 
-def _intervals_tables(seq, cfg):
-    yield Table("intervals", ("q", "interval"), (_fmt(seq.threshold_q), seq.intervals))
+def _intervals_tables(q, iv, mean, cfg):
+    yield Table("intervals", ("q", "interval"), (_fmt(q), iv))
 
 
-def _pdf_tables(seq, cfg):
-    yield Table("scaled_pdf", ("x", "y"),
-                pdf_estimate(seq.intervals, seq.mean_interval, mode=cfg.binning, n_bins=cfg.bins))
+def _pdf_tables(q, iv, mean, cfg):
+    yield Table("scaled_pdf", ("x", "y"), pdf_estimate(iv, mean, mode=cfg.binning, n_bins=cfg.bins))
 
 
 _MEAN_HEADER = ("tau0_scaled", "mean_scaled", "stderr")
@@ -494,30 +493,31 @@ _MEAN_HEADER = ("tau0_scaled", "mean_scaled", "stderr")
 
 # the conditional PDFs are scaled by the whole sequence's mean, as the
 # unconditional one, so the curves of different blocks are comparable
-def _conditional_tables(seq, cfg):
-    blocks = memory.conditional_blocks(seq, cfg.subsets)
+def _conditional_tables(q, iv, mean, cfg):
+    blocks = memory.conditional_blocks(iv, cfg.subsets)
     for k, block in enumerate(blocks[1], start=1):
         yield Table("conditional_pdf", ("x", "y"),
-                    pdf_estimate(block, seq.mean_interval, mode=cfg.binning, n_bins=cfg.bins), f"_k{k}")
-    yield Table("conditional_mean", _MEAN_HEADER, conditional_mean_curve(blocks, seq.mean_interval))
+                    pdf_estimate(block, mean, mode=cfg.binning, n_bins=cfg.bins), f"_k{k}")
+    yield Table("conditional_mean", _MEAN_HEADER, conditional_mean_curve(blocks, mean))
 
 
-def _shuffled_mean_tables(seq, cfg):
-    blocks = memory.conditional_blocks(shuffle_intervals(seq, cfg.seed), cfg.subsets)
-    yield Table("conditional_mean_shuffled", _MEAN_HEADER, conditional_mean_curve(blocks, seq.mean_interval))
+def _shuffled_mean_tables(q, iv, mean, cfg):
+    blocks = memory.conditional_blocks(shuffle_intervals(iv, cfg.seed), cfg.subsets)
+    yield Table("conditional_mean_shuffled", _MEAN_HEADER, conditional_mean_curve(blocks, mean))
 
 
-def _cluster_tables(seq, cfg):
-    labels = median_split(seq.intervals)
+def _cluster_tables(q, iv, mean, cfg):
+    labels = median_split(iv)
     above, below = cluster_survival(run_sizes(labels)), cluster_survival(run_sizes(~labels))
     surv = np.vstack([above, below])
     yield Table("cluster_survival", ("side", "k", "survival"),
                 (["above"] * len(above) + ["below"] * len(below), surv[:, 0], surv[:, 1]))
 
 
-# stage name, which labels its errors -> tables of one threshold; `analyze`
-# runs them all in this order and then the surrogate of every threshold that
-# passed them, a subcommand runs the stage of its name
+# stage name, which labels its errors -> tables of one threshold q from its
+# intervals iv and their mean interval; `analyze` runs them all in this order
+# and then the surrogate of every threshold that passed them, a subcommand runs
+# the stage of its name
 STAGES = {
     "intervals": _intervals_tables,
     "pdf": _pdf_tables,
@@ -577,23 +577,24 @@ def _thresholds(vol, session_ids, cfg: AnalysisConfig, stages, path) -> Iterator
     """Per q of cfg.q, ascending: extract its intervals, run the STAGES named in
     `stages` on them, in that order, and write each table to path(q, table).
 
-    Yields the q, its intervals (None if extraction failed), and its interval
+    Yields the q, its interval array (None if extraction failed), and its interval
     count, mean interval and distance from the geometric law, or the
     (stage, error) that stopped it. A q is run only when the one before it
     has been taken.
     """
     for q in cfg.q:
-        stage, seq = "extract", None
+        stage, iv = "extract", None
         try:
-            seq = extract_intervals(vol, q, session_ids)
+            iv = extract_intervals(vol, q, session_ids)
+            mean = mean_interval(iv)
             for stage in stages:
-                for t in STAGES[stage](seq, cfg):
+                for t in STAGES[stage](q, iv, mean, cfg):
                     _write_tsv(path(q, t), t.header, t.columns)
-            outcome = {"count": len(seq), "mean_interval": seq.mean_interval,
-                       "geometric_deviation": geometric_deviation(seq)}
+            outcome = {"count": iv.size, "mean_interval": mean,
+                       "geometric_deviation": geometric_deviation(iv)}
         except ValueError as exc:  # e.g. too few events, or too few intervals for the subsets
             outcome = (stage, exc)
-        yield q, seq, outcome
+        yield q, iv, outcome
 
 
 def run_stage(cfg: AnalysisConfig, name: str) -> Iterator[str]:
@@ -627,17 +628,17 @@ def _analyze_one(vol, session_ids, cfg: AnalysisConfig, outdir: Path) -> list:
     """Every stage but the surrogate on one unit, writing its TSVs and collapse_matrix.json.
     Returns per threshold its interval count, mean interval and distance from the
     geometric law, or the (stage, error) that stopped it."""
-    seqs, outcomes = {}, []
-    for q, seq, outcome in _thresholds(vol, session_ids, cfg, STAGES,
-                                       lambda q, t: outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv"):
-        if seq is not None:  # extracted: in the matrix even if a later stage failed
-            seqs[q] = seq
+    ivs, outcomes = {}, []
+    for q, iv, outcome in _thresholds(vol, session_ids, cfg, STAGES,
+                                      lambda q, t: outdir / f"q{q:g}" / f"{t.stem}{t.suffix}.tsv"):
+        if iv is not None:  # extracted: in the matrix even if a later stage failed
+            ivs[q] = iv
         outcomes.append(outcome)
 
-    if len(seqs) >= 2:  # in ascending q, as cfg.q is
-        mat = collapse_distance(list(seqs.values()))
+    if len(ivs) >= 2:  # in ascending q, as cfg.q is
+        mat = collapse_distance(list(ivs.values()))
         _write_json(outdir / "collapse_matrix.json",
-                    {"q": [f"{q:g}" for q in seqs], "ks_distance": mat.tolist()})
+                    {"q": [f"{q:g}" for q in ivs], "ks_distance": mat.tolist()})
     return outcomes
 
 

@@ -26,6 +26,7 @@ from volintervals import (
     geometric_deviation,
     impose_intraday_pattern,
     intraday_detrend,
+    mean_interval,
     median_split,
     normalize_volatility,
     run_pipeline,
@@ -60,7 +61,7 @@ def geometric_cdf_ks(intervals, p):
 
 
 @pytest.fixture(scope="module")
-def oracle_seqs(correlated_vol):
+def oracle_ivs(correlated_vol):
     return {q: extract_intervals(correlated_vol, q) for q in QS}
 
 
@@ -68,23 +69,23 @@ def test_criterion_1_uncorrelated_baseline():
     t0 = time.perf_counter()
     r = gen_iid_gaussian(GeneratorSpec(kind="iid_gaussian", length=10**6, seed=7))
     vol = normalize_volatility(r)
-    seq = extract_intervals(vol, 2.0)
+    iv = extract_intervals(vol, 2.0)
     expected = 1.0 / (2.0 * stats.norm.sf(2.0))
-    mean_ok = abs(seq.mean_interval / expected - 1) < 0.02
-    p_hat = (len(seq) + 1) / len(vol)
-    ks = geometric_cdf_ks(seq.intervals, p_hat)
+    mean_ok = abs(mean_interval(iv) / expected - 1) < 0.02
+    p_hat = (iv.size + 1) / len(vol)
+    ks = geometric_cdf_ks(iv, p_hat)
     elapsed = time.perf_counter() - t0
-    report(1, f"iid q=2: <tau>={seq.mean_interval:.2f} (expect {expected:.2f}), "
+    report(1, f"iid q=2: <tau>={mean_interval(iv):.2f} (expect {expected:.2f}), "
               f"geometric KS={ks:.4f}, {elapsed:.2f}s",
            mean_ok and ks < 0.01 and elapsed < 10.0)
 
 
-def test_criterion_2_scaling_collapse(oracle_seqs):
-    seqs = [oracle_seqs[q] for q in QS]
-    devs = [geometric_deviation(s) for s in seqs]
-    assert devs == pytest.approx([geometric_cdf_ks(s.intervals, 1 / s.mean_interval) for s in seqs],
+def test_criterion_2_scaling_collapse(oracle_ivs):
+    ivs = [oracle_ivs[q] for q in QS]
+    devs = [geometric_deviation(s) for s in ivs]
+    assert devs == pytest.approx([geometric_cdf_ks(s, 1 / mean_interval(s)) for s in ivs],
                                  abs=1e-12)
-    d = collapse_distance(seqs, jitter_seed=0)
+    d = collapse_distance(ivs, jitter_seed=0)
     off = d[np.triu_indices(len(QS), 1)]
     ok = all(v > 0.10 for v in devs) and np.all(off < COLLAPSE_TOL_ACROSS_Q)
     report(2, f"collapse: max pairwise KS={off.max():.3f} (< {COLLAPSE_TOL_ACROSS_Q}), "
@@ -97,33 +98,33 @@ def test_criterion_2_scaling_collapse(oracle_seqs):
     "masses on q-dependent lattices (raw KS 0.30-0.46, continuity-corrected "
     "0.12-0.19 at n=2^20); no implementation of the stated metric can reach "
     "0.08 for q in {1.0, 1.5, 2.0}"))
-def test_criterion_2_original_tolerance(oracle_seqs):
-    d = collapse_distance([oracle_seqs[q] for q in QS])
+def test_criterion_2_original_tolerance(oracle_ivs):
+    d = collapse_distance([oracle_ivs[q] for q in QS])
     assert np.all(d[np.triu_indices(len(QS), 1)] < 0.08)
 
 
-def test_criterion_3_conditional_mean_memory(oracle_seqs):
-    seq = oracle_seqs[1.0]
-    _, means, stderr = conditional_mean_curve(conditional_blocks(seq, 8), seq.mean_interval)
+def test_criterion_3_conditional_mean_memory(oracle_ivs):
+    iv = oracle_ivs[1.0]
+    _, means, stderr = conditional_mean_curve(conditional_blocks(iv, 8), mean_interval(iv))
     low_ok = means[0] < 1.0 - 3 * stderr[0]
     high_ok = means[-1] > 1.0 + 3 * stderr[-1]
-    shuf = shuffle_intervals(seq, seed=42)
-    _, shuf_means, shuf_stderr = conditional_mean_curve(conditional_blocks(shuf, 8), shuf.mean_interval)
+    shuf = shuffle_intervals(iv, seed=42)
+    _, shuf_means, shuf_stderr = conditional_mean_curve(conditional_blocks(shuf, 8), mean_interval(shuf))
     flat_ok = bool(np.all(np.abs(shuf_means - 1.0) < 3 * shuf_stderr))
     report(3, f"memory: lowest octile {means[0]:.3f}, highest {means[-1]:.3f}; "
               f"shuffled max |dev|/stderr={np.max(np.abs(shuf_means - 1) / shuf_stderr):.2f}",
            low_ok and high_ok and flat_ok)
 
 
-def test_criterion_4_conditional_pdf_separation(oracle_seqs):
-    seq = oracle_seqs[1.0]
-    octiles = conditional_blocks(seq, 8)[1]
+def test_criterion_4_conditional_pdf_separation(oracle_ivs):
+    iv = oracle_ivs[1.0]
+    octiles = conditional_blocks(iv, 8)[1]
     m, n = octiles[0].size, octiles[-1].size
     null_q = 1.628 * np.sqrt((m + n) / (m * n))  # two-sample KS, 1% level
     d_real = stats.ks_2samp(octiles[0], octiles[-1]).statistic
     quiet = 0
     for seed in range(100):
-        sh = conditional_blocks(shuffle_intervals(seq, seed), 8)[1]
+        sh = conditional_blocks(shuffle_intervals(iv, seed), 8)[1]
         if stats.ks_2samp(sh[0], sh[-1]).statistic <= null_q:
             quiet += 1
     report(4, f"conditional PDFs: real KS={d_real:.3f} > {null_q:.4f}; "
@@ -131,13 +132,13 @@ def test_criterion_4_conditional_pdf_separation(oracle_seqs):
            d_real > null_q and quiet >= 95)
 
 
-def test_criterion_5_clustering(correlated_vol, oracle_seqs):
-    seq = oracle_seqs[2.0]
-    surv = cluster_survival(run_sizes(median_split(seq.intervals)))
+def test_criterion_5_clustering(correlated_vol, oracle_ivs):
+    iv = oracle_ivs[2.0]
+    surv = cluster_survival(run_sizes(median_split(iv)))
     tail = surv[7, 1] if surv.shape[0] >= 8 else 0.0
     tail_ok = tail >= 2 * 2.0 ** (-7)
     shuf = extract_intervals(shuffle_volatility(correlated_vol, seed=5), 2.0)
-    sizes = run_sizes(median_split(shuf.intervals))
+    sizes = run_sizes(median_split(shuf))
     ssurv = cluster_survival(sizes)
     m = sizes.size
     worst = 0.0 if ssurv[0, 1] == 1.0 else np.inf  # k=1 is exact
@@ -199,22 +200,22 @@ def test_criterion_8_determinism_and_exactness(tmp_path):
     # multiset exactness of both shuffles
     rng = np.random.default_rng(21)
     vol = VolatilitySeries(np.abs(rng.standard_normal(5000)))
-    seq = extract_intervals(vol, 1.0)
-    si = shuffle_intervals(seq, 9)
+    iv = extract_intervals(vol, 1.0)
+    si = shuffle_intervals(iv, 9)
     sv = shuffle_volatility(vol, 9)
-    multisets = (np.array_equal(np.sort(si.intervals), np.sort(seq.intervals))
-                 and si.mean_interval == seq.mean_interval
+    multisets = (np.array_equal(np.sort(si), np.sort(iv))
+                 and mean_interval(si) == mean_interval(iv)
                  and np.array_equal(np.sort(sv.values), np.sort(vol.values)))
 
     # law of total expectation, exact at integer precision, over the blocks
     # whose integer sums and counts give the conditional mean curve
-    blocks = conditional_blocks(seq, n_subsets=8)
+    blocks = conditional_blocks(iv, n_subsets=8)
     sums = np.array([s.sum() for s in blocks[1]])
     counts = np.array([s.size for s in blocks[1]])
-    _, means, _ = conditional_mean_curve(blocks, seq.mean_interval)
-    lote = (np.array_equal(means, sums / counts / seq.mean_interval)
-            and int(sums.sum()) == int(seq.intervals[1:].sum())
-            and int(counts.sum()) == len(seq) - 1)
+    _, means, _ = conditional_mean_curve(blocks, mean_interval(iv))
+    lote = (np.array_equal(means, sums / counts / mean_interval(iv))
+            and int(sums.sum()) == int(iv[1:].sum())
+            and int(counts.sum()) == iv.size - 1)
 
     report(8, f"determinism: byte-identical={identical}, shuffle multisets exact={multisets}, "
               f"total-expectation identity exact={lote}",

@@ -125,7 +125,7 @@ class TestShuffleVolatility:
     def test_shuffled_correlated_runs_near_geometric(self, correlated_vol):
         # shuffling the volatility makes the interval labels exchangeable
         shuf = shuffle_volatility(correlated_vol, 5)
-        sizes = run_sizes(median_split(extract_intervals(shuf, 2.0).intervals))
+        sizes = run_sizes(median_split(extract_intervals(shuf, 2.0)))
         surv = cluster_survival(sizes)
         m = sizes.size
         assert surv[0, 1] == 1.0
@@ -137,7 +137,6 @@ class TestShuffleVolatility:
 
 
 def test_correlated_oracle_has_long_cluster_tails(correlated_vol):
-    seq = extract_intervals(correlated_vol, 2.0)
-    surv = cluster_survival(run_sizes(median_split(seq.intervals)))
+    surv = cluster_survival(run_sizes(median_split(extract_intervals(correlated_vol, 2.0))))
     assert surv.shape[0] >= 8
     assert surv[7, 1] >= 2 * 2.0 ** (-7)

@@ -14,20 +14,16 @@ from scipy import stats
 import volintervals
 from volintervals import (
     GeneratorSpec,
-    IntervalSequence,
     VolatilitySeries,
     collapse_distance,
     extract_intervals,
     gen_iid_gaussian,
     geometric_deviation,
+    mean_interval,
     normalize_volatility,
     pdf_estimate,
 )
 from volintervals.distributions import _ks_distance, continuity_corrected_sample
-
-
-def make_seq(intervals, q=1.0):
-    return IntervalSequence(threshold_q=q, intervals=np.asarray(intervals))
 
 
 def bin_edges(intervals, mode, n_bins):
@@ -111,9 +107,9 @@ class TestScalePdf:
 
     def test_unit_integral_in_scaled_coordinates(self):
         rng = np.random.default_rng(2)
-        seq = make_seq(rng.geometric(0.1, size=20000))
-        _, y = pdf_estimate(seq.intervals, seq.mean_interval, mode="logarithmic", n_bins=20)
-        widths = np.diff(bin_edges(seq.intervals, "logarithmic", 20)) / seq.mean_interval
+        iv = rng.geometric(0.1, size=20000)
+        _, y = pdf_estimate(iv, mean_interval(iv), mode="logarithmic", n_bins=20)
+        widths = np.diff(bin_edges(iv, "logarithmic", 20)) / mean_interval(iv)
         assert np.sum(y * widths) == pytest.approx(1.0, abs=1e-9)
 
     def test_exponential_sample_matches_exp_curve(self):
@@ -129,7 +125,7 @@ class TestScalePdf:
 
 class TestCollapseDistance:
     def test_identical_sequences(self):
-        s = make_seq([1, 2, 3, 5, 8])
+        s = np.array([1, 2, 3, 5, 8])
         d = collapse_distance([s, s])
         assert d[0, 1] == 0.0
         assert d[1, 0] == 0.0
@@ -142,8 +138,8 @@ class TestCollapseDistance:
 
     def test_pseudometric_properties(self):
         rng = np.random.default_rng(4)
-        seqs = [make_seq(rng.geometric(p, size=3000)) for p in (0.1, 0.2, 0.4)]
-        d = collapse_distance(seqs)
+        ivs = [rng.geometric(p, size=3000) for p in (0.1, 0.2, 0.4)]
+        d = collapse_distance(ivs)
         assert np.allclose(d, d.T)
         assert np.all(np.diag(d) == 0)
         for i in range(3):
@@ -160,8 +156,8 @@ class TestCollapseDistance:
 
     def test_jitter_removes_lattice_mismatch(self):
         rng = np.random.default_rng(6)
-        a = make_seq(rng.geometric(0.4, size=10**5))
-        b = make_seq(rng.geometric(0.04, size=10**5))
+        a = rng.geometric(0.4, size=10**5)
+        b = rng.geometric(0.04, size=10**5)
         raw = collapse_distance([a, b])[0, 1]
         corrected = collapse_distance([a, b], jitter_seed=0)[0, 1]
         # same geometric-family shape; raw KS is dominated by the lattice
@@ -170,7 +166,7 @@ class TestCollapseDistance:
 
     def test_requires_two_sequences(self):
         with pytest.raises(ValueError):
-            collapse_distance([make_seq([1, 2])])
+            collapse_distance([np.array([1, 2])])
 
 
 def ecdf_sup(a, b):
@@ -213,11 +209,11 @@ GEOMETRIC_SAMPLES["ones"] = np.ones(5, dtype=int)
 
 def geometric_oracle(intervals):
     """sup |F_n - F| over every integer 1..max tau, F scipy's geometric CDF with p = 1/<tau>."""
-    seq = make_seq(intervals)
-    k = np.arange(1, seq.intervals.max() + 1)
-    emp = np.searchsorted(np.sort(seq.intervals), k, side="right") / len(seq)
+    iv = np.asarray(intervals)
+    k = np.arange(1, iv.max() + 1)
+    emp = np.searchsorted(np.sort(iv), k, side="right") / iv.size
     with np.errstate(divide="ignore"):  # p = 1 takes log1p(-1) = -inf, and F = 1
-        cdf = stats.geom.cdf(k, 1 / seq.mean_interval)
+        cdf = stats.geom.cdf(k, 1 / mean_interval(iv))
     return float(np.abs(emp - cdf).max())
 
 
@@ -227,9 +223,9 @@ class TestScipyOracle:
     @pytest.mark.parametrize("n1,n2", SIZES)
     def test_collapse_distance_on_integer_intervals(self, n1, n2):
         rng = np.random.default_rng(n1 + n2)
-        a, b = make_seq(rng.geometric(0.2, size=n1)), make_seq(rng.geometric(0.05, size=n2))
+        a, b = rng.geometric(0.2, size=n1), rng.geometric(0.05, size=n2)
         d = collapse_distance([a, b])
-        assert d[0, 1] == stats.ks_2samp(a.scaled(), b.scaled()).statistic
+        assert d[0, 1] == stats.ks_2samp(a / mean_interval(a), b / mean_interval(b)).statistic
 
     @pytest.mark.parametrize("n1,n2", SIZES)
     def test_collapse_distance_on_continuous_samples(self, n1, n2):
@@ -247,24 +243,24 @@ class TestScipyOracle:
 
     def test_jitter_seed_path(self):
         rng = np.random.default_rng(12)
-        seqs = [make_seq(rng.geometric(p, size=n))
+        ivs = [rng.geometric(p, size=n)
                 for p, n in ((0.4, 4000), (0.04, 12_000), (0.1, 10_000))]
-        d = collapse_distance(seqs, jitter_seed=3)
+        d = collapse_distance(ivs, jitter_seed=3)
         jitter = np.random.default_rng(3)
-        corrected = [continuity_corrected_sample(s, jitter) for s in seqs]
+        corrected = [continuity_corrected_sample(s, jitter) for s in ivs]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert d[i, j] == d[j, i] == stats.ks_2samp(corrected[i], corrected[j]).statistic
 
     @pytest.mark.parametrize("intervals", GEOMETRIC_SAMPLES.values(), ids=list(GEOMETRIC_SAMPLES))
     def test_poisson_deviation(self, intervals):
-        assert geometric_deviation(make_seq(intervals)) == pytest.approx(
+        assert geometric_deviation(np.array(intervals)) == pytest.approx(
             geometric_oracle(intervals), abs=1e-12)
 
     @pytest.mark.long_search
     @given(st.lists(st.integers(1, 300), min_size=1, max_size=200))
     def test_geometric_deviation_on_any_intervals(self, intervals):
-        assert geometric_deviation(make_seq(intervals)) == pytest.approx(
+        assert geometric_deviation(np.array(intervals)) == pytest.approx(
             geometric_oracle(intervals), abs=1e-12)
 
 
@@ -310,17 +306,17 @@ class TestPoissonDeviation:
 
     def test_geometric_sample_is_close(self):
         rng = np.random.default_rng(7)
-        assert geometric_deviation(make_seq(rng.geometric(0.001, size=10**5))) < 0.01
+        assert geometric_deviation(rng.geometric(0.001, size=10**5)) < 0.01
 
     def test_constant_intervals(self):
         # point mass at 4, p = 1/4: sup |F_n - F| is at k = 3, where F_n is still 0
-        assert geometric_deviation(make_seq([4, 4, 4, 4])) == pytest.approx(1 - 0.75**3, abs=1e-15)
+        assert geometric_deviation(np.array([4, 4, 4, 4])) == pytest.approx(1 - 0.75**3, abs=1e-15)
 
     def test_iid_intervals_near_geometric_at_high_threshold(self):
         rng = np.random.default_rng(8)
         g = np.abs(rng.standard_normal(10**6))
-        seq = extract_intervals(VolatilitySeries(g), 2.0)
-        assert geometric_deviation(seq) < 0.01
+        iv = extract_intervals(VolatilitySeries(g), 2.0)
+        assert geometric_deviation(iv) < 0.01
 
     def test_separates_iid_from_correlated_volatility(self, correlated_vol):
         # memoryless exceedances are geometric at every threshold; long-range

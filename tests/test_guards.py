@@ -11,36 +11,51 @@ import pytest
 
 import volintervals
 from volintervals import (
-    IntervalSequence,
     PriceSeries,
     VolatilitySeries,
     build_intraday_pattern,
+    cluster_survival,
+    collapse_distance,
     extract_intervals,
+    geometric_deviation,
     intraday_detrend,
+    mean_interval,
     median_split,
     pdf_estimate,
+    run_sizes,
 )
 from volintervals.synthetic import correlated_gaussian, impose_intraday_pattern
 
 DAY = np.timedelta64(1, "D")
 DAYS = np.arange("2000-01-01", "2000-01-04", dtype="datetime64[D]").astype("datetime64[s]")
-SEQ = IntervalSequence(1.0, [1, 2, 3])
+IV = np.array([1, 2, 3])
 
 GUARDS = {
     "median_split_empty": (lambda: median_split(np.array([], dtype=np.int64)), ValueError,
                            "interval sequence must be non-empty"),
     "pdf_empty": (lambda: pdf_estimate([], 1.0), ValueError,
                   "cannot estimate a PDF from an empty sequence"),
-    "pdf_mode": (lambda: pdf_estimate(SEQ.intervals, 2.0, mode="cubic"), ValueError,
+    "pdf_mode": (lambda: pdf_estimate(IV, 2.0, mode="cubic"), ValueError,
                  "unknown binning mode 'cubic'"),
-    "pdf_one_bin": (lambda: pdf_estimate(SEQ.intervals, 2.0, n_bins=1), ValueError,
+    "pdf_one_bin": (lambda: pdf_estimate(IV, 2.0, n_bins=1), ValueError,
                     "need at least 2 bins"),
-    "scale_pdf_mean": (lambda: pdf_estimate(SEQ.intervals, 0.0), ValueError,
+    "scale_pdf_mean": (lambda: pdf_estimate(IV, 0.0), ValueError,
                        "mean_interval must be positive"),
-    "sequence_empty": (lambda: IntervalSequence(1.0, []), ValueError,
-                       "interval sequence must be non-empty"),
-    "sequence_zero": (lambda: IntervalSequence(1.0, [1, 0]), ValueError,
+    "sequence_empty": (lambda: mean_interval([]), ValueError, "interval sequence must be non-empty"),
+    "sequence_zero": (lambda: mean_interval([1, 0]), ValueError,
                       "intervals must be >= 1 sampling step"),
+    # both take the mean, and so its checks, from mean_interval
+    "geometric_empty": (lambda: geometric_deviation([]), ValueError,
+                        "interval sequence must be non-empty"),
+    "collapse_empty": (lambda: collapse_distance([[1, 2], []]), ValueError,
+                       "interval sequence must be non-empty"),
+    "collapse_jitter_zero": (lambda: collapse_distance([[1, 2], [0, 1]], jitter_seed=0), ValueError,
+                             "intervals must be >= 1 sampling step"),
+    # sizes that hold no run, or a size that is no run
+    "survival_no_runs": (lambda: cluster_survival(run_sizes([False, False])), ValueError,
+                         "no clusters"),
+    "survival_empty": (lambda: cluster_survival([]), ValueError, "no clusters"),
+    "survival_zero": (lambda: cluster_survival([0, 2]), ValueError, "cluster sizes must be >= 1"),
     "extract_q": (lambda: extract_intervals([3.0, 3.0], 0), ValueError,
                   "threshold q must be positive"),
     "extract_q_nan": (lambda: extract_intervals([3.0, 3.0], float("nan")), ValueError,

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from volintervals import (
-    IntervalSequence,
     VolatilitySeries,
     extract_intervals,
+    mean_interval,
 )
 
 
@@ -22,9 +22,9 @@ def geometric_cdf_ks(intervals, p):
 
 
 def test_direct_count():
-    seq = extract_intervals(VolatilitySeries(np.array([2.0, 0, 0, 2, 0, 2])), 1.0)
-    assert seq.intervals.tolist() == [3, 2]
-    assert seq.mean_interval == 2.5
+    iv = extract_intervals(VolatilitySeries(np.array([2.0, 0, 0, 2, 0, 2])), 1.0)
+    assert iv.dtype == np.int64 and iv.tolist() == [3, 2]
+    assert mean_interval(iv) == 2.5
 
 
 def test_no_events_raises_with_count():
@@ -34,39 +34,38 @@ def test_no_events_raises_with_count():
 
 def test_strict_inequality_at_threshold():
     # values exactly at q are non-events
-    seq = extract_intervals(VolatilitySeries(np.array([2.0, 1.0, 1.0, 2.0])), 1.0)
-    assert seq.intervals.tolist() == [3]
+    iv = extract_intervals(VolatilitySeries(np.array([2.0, 1.0, 1.0, 2.0])), 1.0)
+    assert iv.tolist() == [3]
 
 
 def test_gaussian_mean_interval_matches_tail_probability():
     rng = np.random.default_rng(7)
     g = np.abs(rng.standard_normal(10**6))
-    seq = extract_intervals(VolatilitySeries(g), 2.0)
+    iv = extract_intervals(VolatilitySeries(g), 2.0)
     expected = 1.0 / (2.0 * stats.norm.sf(2.0))
     assert expected == pytest.approx(21.98, abs=0.01)
-    assert seq.mean_interval == pytest.approx(expected, rel=0.02)
+    assert mean_interval(iv) == pytest.approx(expected, rel=0.02)
 
 
 def test_iid_intervals_are_geometric():
     rng = np.random.default_rng(8)
     g = np.abs(rng.standard_normal(10**6))
-    seq = extract_intervals(VolatilitySeries(g), 1.0)
-    p_hat = (len(seq) + 1) / g.size
-    assert geometric_cdf_ks(seq.intervals, p_hat) < 0.01
+    iv = extract_intervals(VolatilitySeries(g), 1.0)
+    p_hat = (iv.size + 1) / g.size
+    assert geometric_cdf_ks(iv, p_hat) < 0.01
 
 
 def test_identical_thresholds_give_identical_sequences():
     rng = np.random.default_rng(9)
     vol = VolatilitySeries(np.abs(rng.standard_normal(2000)))
     a, b = [extract_intervals(vol, q) for q in [1.0, 1.0]]
-    assert np.array_equal(a.intervals, b.intervals)
+    assert np.array_equal(a, b)
 
 
 def test_mean_interval_monotone_in_q():
     rng = np.random.default_rng(10)
     vol = VolatilitySeries(np.abs(rng.standard_normal(50000)))
-    seqs = [extract_intervals(vol, q) for q in [1.0, 1.25, 1.5, 1.75, 2.0]]
-    means = [s.mean_interval for s in seqs]
+    means = [mean_interval(extract_intervals(vol, q)) for q in [1.0, 1.25, 1.5, 1.75, 2.0]]
     assert all(a <= b for a, b in zip(means, means[1:]))
 
 
@@ -80,15 +79,13 @@ def test_event_subset_monotonicity(correlated_vol):
 def test_interval_sum_identity():
     rng = np.random.default_rng(11)
     g = np.abs(rng.standard_normal(5000))
-    seq = extract_intervals(VolatilitySeries(g), 1.2)
+    iv = extract_intervals(VolatilitySeries(g), 1.2)
     events = np.flatnonzero(g > 1.2)
-    assert seq.intervals.sum() == events[-1] - events[0]
+    assert iv.sum() == events[-1] - events[0]
 
 
 def test_mean_interval_is_computed_not_given():
-    assert IntervalSequence(1.0, [1, 2]).mean_interval == 1.5
-    with pytest.raises(TypeError):
-        IntervalSequence(1.0, [1, 2], mean_interval=9)
+    assert mean_interval([1, 2]) == 1.5
 
 
 def test_time_reversal():
@@ -96,16 +93,16 @@ def test_time_reversal():
     g = np.abs(rng.standard_normal(3000))
     fwd = extract_intervals(VolatilitySeries(g), 1.1)
     rev = extract_intervals(VolatilitySeries(g[::-1]), 1.1)
-    assert np.array_equal(fwd.intervals, rev.intervals[::-1])
+    assert np.array_equal(fwd, rev[::-1])
 
 
 def test_drop_session_gaps():
     g = np.array([2.0, 0, 2.0, 2.0])
     sessions = np.array([0, 0, 1, 1])
     full = extract_intervals(VolatilitySeries(g), 1.0)
-    assert full.intervals.tolist() == [2, 1]
+    assert full.tolist() == [2, 1]
     kept = extract_intervals(VolatilitySeries(g), 1.0, session_ids=sessions)
-    assert kept.intervals.tolist() == [1]
+    assert kept.tolist() == [1]
 
 
 @given(st.lists(st.floats(min_value=0, max_value=3), min_size=20, max_size=60),
@@ -113,8 +110,8 @@ def test_drop_session_gaps():
 def test_intervals_positive_and_ordered(values, q):
     vol = VolatilitySeries(np.array(values))
     try:
-        seq = extract_intervals(vol, q)
+        iv = extract_intervals(vol, q)
     except ValueError:  # fewer than 2 events
         return
-    assert np.all(seq.intervals >= 1)
-    assert seq.mean_interval == pytest.approx(seq.intervals.mean())
+    assert np.all(iv >= 1)
+    assert mean_interval(iv) == pytest.approx(iv.mean())

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from volintervals import (
     AnalysisConfig,
-    IntervalSequence,
     PriceSeries,
     VolatilitySeries,
     build_intraday_pattern,
@@ -332,7 +331,7 @@ def test_intervals_tsv_is_the_per_row_text(tmp_path_factory, q, n, edges, seed):
     # every digit count from 1 to 19, and the digit edges at random rows
     iv = np.maximum(rng.integers(0, 2**63 - 1, n, dtype=np.int64) >> rng.integers(0, 63, n), 1)
     iv[rng.integers(0, n, len(edges))] = edges
-    (table,) = STAGES["intervals"](IntervalSequence(q, iv), None)
+    (table,) = STAGES["intervals"](q, iv, None, None)
     f = tmp_path_factory.mktemp("tsv") / "intervals.tsv"
     _write_tsv(f, table.header, table.columns)
     assert f.read_text() == "q\tinterval\n" + "".join(f"{q:.10g}\t{v}\n" for v in iv.tolist())
@@ -761,7 +760,7 @@ class TestRunPipeline:
         for q in ("1", "2"):
             written = np.loadtxt(tmp_path / "kept" / "intraday" / f"q{q}" / "intervals.tsv",
                                  skiprows=1, usecols=1, dtype=np.int64)
-            assert np.array_equal(written, extract_intervals(detrended, float(q)).intervals), q
+            assert np.array_equal(written, extract_intervals(detrended, float(q))), q
         assert kept["per_q"]["1"]["count"] > dropped["per_q"]["1"]["count"]
 
     def test_errors_attributed_and_pipeline_continues(self, tmp_path):
@@ -858,12 +857,14 @@ class TestRunPipeline:
         calls = []
         blocks = volintervals.memory.conditional_blocks
         monkeypatch.setattr(volintervals.memory, "conditional_blocks",
-                            lambda seq, n: calls.append(seq.threshold_q) or blocks(seq, n))
+                            lambda iv, n: calls.append(iv.size) or blocks(iv, n))
         prices = ingest_csv(synth_csv(tmp_path / "inst.csv", length=20000, seed=1))
         cfg = AnalysisConfig(input=["inst.csv"], q=[1.0, 2.0], ensemble=2)
         outcomes = _analyze_one(*_volatility(prices, cfg), cfg, tmp_path / "out")
         assert [sorted(o) for o in outcomes] == [["count", "geometric_deviation", "mean_interval"]] * 2
-        assert calls == [1.0] * 2 + [2.0] * 2
+        # each q's intervals, told apart by their count
+        counts = [o["count"] for o in outcomes]
+        assert counts[0] != counts[1] and calls == [counts[0]] * 2 + [counts[1]] * 2
 
     @pytest.mark.filterwarnings("ignore:all intervals identical")
     def test_surrogate_error_keeps_its_threshold_order(self, tmp_path, monkeypatch):
@@ -902,7 +903,7 @@ def per_threshold_envelope(vol, q, cfg):
     """Reference surrogate of one threshold: a fresh shuffle and extraction per seed."""
     try:
         surv = np.array([above_median_survival(
-            extract_intervals(shuffle_volatility(vol, cfg.seed + i), q).intervals)
+            extract_intervals(shuffle_volatility(vol, cfg.seed + i), q))
             for i in range(cfg.ensemble)])
     except ValueError as exc:
         return exc
@@ -914,7 +915,7 @@ def library_row(vol, q, seed):
     """One seed's surrogate entry for q: extract_intervals on its shuffle, then the
     first-principles survival."""
     try:
-        return above_median_survival(extract_intervals(shuffle_volatility(vol, seed), q).intervals)
+        return above_median_survival(extract_intervals(shuffle_volatility(vol, seed), q))
     except ValueError as exc:
         return exc
 

@@ -90,7 +90,7 @@ class TestNormalizeVolatility:
         r = rng.standard_normal(5000)
         a = extract_intervals(normalize_volatility(ReturnSeries(r)), q)
         b = extract_intervals(normalize_volatility(ReturnSeries(3.7 * r)), q)
-        assert np.array_equal(a.intervals, b.intervals)
+        assert np.array_equal(a, b)
 
 
 class TestIntradayPattern:
